@@ -5,11 +5,19 @@ access in this package funnels through :func:`check_access`, which is the
 single enforcement chokepoint. Illegal *derivation* silently clears the
 tag (as the hardware does); illegal *dereference* raises :class:`CapFault`
 (the software analogue of SIGPROT).
+
+``Capability.perms`` is a plain ``int`` mask. :class:`Perm` stays the type
+at the API edge (constructors, :func:`restrict_perms`, ``has``) and its
+values compare equal to the stored ints, so ``cap.perms == Perm.READ``
+holds; ``Perm`` is rebuilt only to format a ``repr`` or a fault message.
+Hot callers pass the ``*_MASK`` ints below as ``need``. ``perfbench/``
+measures the speed of this core, and ``perfbench/fingerprint.py`` checks
+that the sweep's CSV bytes stay the same.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum, IntFlag, auto
 
 # otype identifiers are a 32-bit namespace; the reserved maximum means
@@ -34,6 +42,13 @@ PERM_NONE = Perm(0)
 PERM_RW = Perm.READ | Perm.WRITE
 PERM_ALL = Perm.READ | Perm.WRITE | Perm.LOAD_CAP | Perm.STORE_CAP | Perm.SEAL | Perm.UNSEAL
 
+# The same bits as plain ints for hot-path `need` arguments; int `&` skips
+# IntFlag's Python-level operators.
+READ_MASK = Perm.READ.value
+WRITE_MASK = Perm.WRITE.value
+LOAD_CAP_MASK = Perm.LOAD_CAP.value
+STORE_CAP_MASK = Perm.STORE_CAP.value
+
 
 class FaultKind(Enum):
     TAG_INVALID = auto()
@@ -54,20 +69,32 @@ class CapFault(Exception):
         self.detail = detail
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Capability:
     """Immutable capability value.
 
     The cursor is the address a dereference would touch; it may sit
     outside [base, base+length) without faulting until actually used.
+    `perms` accepts a Perm and is stored as a plain int mask.
     """
 
     base: int
     length: int
     cursor: int
-    perms: Perm
+    perms: int
     tag: bool
     otype: int = UNSEALED
+
+    def __init__(self, base: int, length: int, cursor: int, perms: int, tag: bool,
+                 otype: int = UNSEALED):
+        # Slot setters directly: the frozen class's own __setattr__ refuses,
+        # and object.__setattr__ per field is slower.
+        _set_base(self, base)
+        _set_length(self, length)
+        _set_cursor(self, cursor)
+        _set_perms(self, int(perms))
+        _set_tag(self, tag)
+        _set_otype(self, otype)
 
     @property
     def top(self) -> int:
@@ -77,19 +104,27 @@ class Capability:
     def sealed(self) -> bool:
         return self.otype != UNSEALED
 
-    def has(self, perms: Perm) -> bool:
+    def has(self, perms: int) -> bool:
         return (self.perms & perms) == perms
 
     def __repr__(self) -> str:
         seal = f" otype={self.otype}" if self.sealed else ""
         tag = "+" if self.tag else "-"
         return (f"Cap[{tag}]({self.cursor:#x} in {self.base:#x}+{self.length:#x},"
-                f" {self.perms!r}{seal})")
+                f" {Perm(self.perms)!r}{seal})")
+
+
+_set_base = Capability.base.__set__
+_set_length = Capability.length.__set__
+_set_cursor = Capability.cursor.__set__
+_set_perms = Capability.perms.__set__
+_set_tag = Capability.tag.__set__
+_set_otype = Capability.otype.__set__
 
 
 def null_capability(cursor: int = 0) -> Capability:
     """The untagged all-zeros pattern a forged integer decodes to."""
-    return Capability(base=0, length=0, cursor=cursor, perms=PERM_NONE, tag=False)
+    return Capability(0, 0, cursor, 0, False)
 
 
 def derive_bounds(parent: Capability, new_base: int, new_length: int) -> Capability:
@@ -106,26 +141,19 @@ def derive_bounds(parent: Capability, new_base: int, new_length: int) -> Capabil
         and new_base + new_length <= parent.top
         and new_base + new_length < ADDR_TOP
     )
-    return Capability(
-        base=new_base,
-        length=new_length,
-        cursor=new_base,
-        perms=parent.perms,
-        tag=ok,
-        otype=UNSEALED,
-    )
+    return Capability(new_base, new_length, new_base, parent.perms, ok)
 
 
 def restrict_perms(parent: Capability, keep: Perm) -> Capability:
     """Intersect permissions; granting new ones is impossible by construction."""
-    ok = parent.tag and not parent.sealed
-    return replace(parent, perms=parent.perms & keep, tag=ok, otype=UNSEALED)
+    ok = parent.tag and parent.otype == UNSEALED
+    return Capability(parent.base, parent.length, parent.cursor, parent.perms & int(keep), ok)
 
 
 def with_cursor(cap: Capability, cursor: int) -> Capability:
     """Pointer arithmetic: move the cursor. Mutating a sealed value untags it."""
-    ok = cap.tag and not cap.sealed
-    return replace(cap, cursor=cursor, tag=ok)
+    ok = cap.tag and cap.otype == UNSEALED
+    return Capability(cap.base, cap.length, cursor, cap.perms, ok, cap.otype)
 
 
 def seal(target: Capability, authority: Capability) -> Capability:
@@ -145,7 +173,7 @@ def seal(target: Capability, authority: Capability) -> Capability:
     otype = authority.cursor
     if not (authority.base <= otype < authority.top) or otype >= UNSEALED:
         raise CapFault(FaultKind.BOUNDS_VIOLATION, otype, "otype outside authority bounds")
-    return replace(target, otype=otype)
+    return Capability(target.base, target.length, target.cursor, target.perms, target.tag, otype)
 
 
 def unseal(target: Capability, authority: Capability) -> Capability:
@@ -164,27 +192,29 @@ def unseal(target: Capability, authority: Capability) -> Capability:
     if authority.cursor != target.otype:
         raise CapFault(FaultKind.WRONG_OTYPE, target.cursor,
                        f"sealed with otype {target.otype}, authority selects {authority.cursor}")
-    return replace(target, otype=UNSEALED)
+    return Capability(target.base, target.length, target.cursor, target.perms, target.tag)
 
 
-def check_access(cap: Capability, width: int, need: Perm) -> None:
+def check_access(cap: Capability, width: int, need: int) -> None:
     """Validate one access of `width` bytes at the cursor, or raise.
 
     Check order is fixed (tag, seal, permission, bounds) so identical
-    inputs always fault identically.
+    inputs always fault identically. `need` is an int mask or a Perm.
     """
+    cursor = cap.cursor
     if not cap.tag:
-        raise CapFault(FaultKind.TAG_INVALID, cap.cursor, "untagged capability")
-    if cap.sealed:
-        raise CapFault(FaultKind.SEAL_VIOLATION, cap.cursor,
+        raise CapFault(FaultKind.TAG_INVALID, cursor, "untagged capability")
+    if cap.otype != UNSEALED:
+        raise CapFault(FaultKind.SEAL_VIOLATION, cursor,
                        f"sealed capability (otype {cap.otype})")
     if (cap.perms & need) != need:
-        raise CapFault(FaultKind.PERMISSION_DENIED, cap.cursor,
-                       f"need {need!r}, have {cap.perms!r}")
-    if cap.cursor < cap.base or cap.cursor + width > cap.top:
-        raise CapFault(FaultKind.BOUNDS_VIOLATION, cap.cursor,
-                       f"access [{cap.cursor:#x},{cap.cursor + width:#x}) outside "
-                       f"[{cap.base:#x},{cap.top:#x})")
+        raise CapFault(FaultKind.PERMISSION_DENIED, cursor,
+                       f"need {Perm(need)!r}, have {Perm(cap.perms)!r}")
+    base = cap.base
+    if cursor < base or cursor + width > base + cap.length:
+        raise CapFault(FaultKind.BOUNDS_VIOLATION, cursor,
+                       f"access [{cursor:#x},{cursor + width:#x}) outside "
+                       f"[{base:#x},{base + cap.length:#x})")
 
 
 def make_otype_authority(otype: int, perms: Perm = Perm.SEAL | Perm.UNSEAL) -> Capability:
@@ -194,4 +224,4 @@ def make_otype_authority(otype: int, perms: Perm = Perm.SEAL | Perm.UNSEAL) -> C
     the kernel interface) may call this; it is the software stand-in for
     the otype capabilities the kernel is born holding.
     """
-    return Capability(base=otype, length=1, cursor=otype, perms=perms, tag=True)
+    return Capability(otype, 1, otype, perms, True)

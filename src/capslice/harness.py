@@ -21,7 +21,7 @@ from .capability import CapFault, Capability, FaultKind, Perm, with_cursor
 from .driver import Driver
 from .kernel import ApiError, DMA_LENGTH, Kernel
 from .manifest import Manifest, PermClass, expand, parse
-from .netstack import UdpEndpoint, decode_udp, echo_reply, encode_udp
+from .netstack import DecodeError, UdpEndpoint, decode_udp, echo_reply, encode_udp
 from .nic import BAR_LENGTH, FrameLink, NicModel
 from .physmem import AccessCostTable, PhysSpace
 from .slicer import AUDIT_READ, AUDIT_WRITE, SliceTable, audit_reachability
@@ -220,7 +220,7 @@ class LoadGenerator:
         for frame in m.driver.poll_recv():
             try:
                 _, dst_ep, payload = decode_udp(frame)
-            except Exception:
+            except DecodeError:
                 self.mismatches += 1
                 continue
             k = dst_ep.port - m.endpoint.port
@@ -306,7 +306,12 @@ def run_cell(cfg: SweepConfig, size: int, delay_us: int, mode: str) -> CellResul
 
     kernel_calls_before = sut.kernel.invocations
     gen.start()
-    loop.run(max_events=cfg.trials * 64 + 4096)
+    try:
+        loop.run(max_events=cfg.trials * 64 + 4096)
+    finally:
+        # The hook closes a cycle (link -> actors -> machines -> NICs -> link)
+        # that would keep both machines alive until a full collection.
+        link.on_transmit = None
 
     if gen.mismatches:
         raise RuntimeError(f"{gen.mismatches} corrupted echoes in {mode}/{size}/{delay_us}")

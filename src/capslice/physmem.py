@@ -10,10 +10,15 @@ and nobody else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import mmap
+from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
 from .capability import (
+    LOAD_CAP_MASK,
+    READ_MASK,
+    STORE_CAP_MASK,
+    WRITE_MASK,
     CapFault,
     Capability,
     FaultKind,
@@ -66,17 +71,22 @@ class PhysSpace:
 
     def __init__(self, size: int, costs: Optional[AccessCostTable] = None):
         self.size = size
-        self.data = bytearray(size)
+        # An anonymous mapping: the OS zero-fills pages only as they are
+        # touched, and a space's memory never passes through the malloc heap,
+        # so building and dropping a machine costs the same every time
+        # instead of depending on when the heap last gave memory back.
+        self.data = mmap.mmap(-1, size)
         self.tags = bytearray((size + GRANULE - 1) // GRANULE)
         self.regions: list[Region] = []
+        self._last_region: Optional[Region] = None  # region_for's last answer
         self.clock: float = 0.0
         self.costs = costs or AccessCostTable()
         # Full capability values per tagged granule; exact bounds do not
         # fit in 16 bytes, so the granule bytes carry only cursor+base.
         self._cap_shadow: dict[int, Capability] = {}
         # Optional instrumentation: called as (cursor, width, need, fault_kind|None)
-        # after every checked data access.
-        self.access_recorder: Optional[Callable[[int, int, Perm, Optional[FaultKind]], None]] = None
+        # after every checked data access; `need` is an int permission mask.
+        self.access_recorder: Optional[Callable[[int, int, int, Optional[FaultKind]], None]] = None
 
     @classmethod
     def create(cls, size: int, costs: Optional[AccessCostTable] = None
@@ -100,8 +110,14 @@ class PhysSpace:
         return region
 
     def region_for(self, addr: int, width: int) -> Region:
+        # Accesses cluster (mostly RAM, now and then the BAR), so the region
+        # found last time answers most lookups without a scan.
+        r = self._last_region
+        if r is not None and r.base <= addr and addr + width <= r.base + r.length:
+            return r
         for r in self.regions:
-            if r.base <= addr and addr + width <= r.top:
+            if r.base <= addr and addr + width <= r.base + r.length:
+                self._last_region = r
                 return r
         raise ValueError(f"access [{addr:#x},{addr + width:#x}) maps to no single region")
 
@@ -119,52 +135,62 @@ class PhysSpace:
     # -- tag bookkeeping ---------------------------------------------------
 
     def _clear_tags(self, addr: int, width: int) -> None:
-        for g in range(addr // GRANULE, (addr + width - 1) // GRANULE + 1):
-            self.tags[g] = 0
+        # Only cap_store sets a tag, and it always records a shadow, so with
+        # no shadows every tag is already clear.
+        if not self._cap_shadow:
+            return
+        first = addr // GRANULE
+        end = (addr + width - 1) // GRANULE + 1
+        self.tags[first:end] = bytes(end - first)
 
     def tagged_granules(self) -> int:
         return sum(self.tags)
 
     # -- checked data access ----------------------------------------------
 
-    def _checked(self, cap: Capability, width: int, need: Perm) -> None:
+    def _checked(self, cap: Capability, width: int, need: int) -> None:
+        recorder = self.access_recorder
         try:
             check_access(cap, width, need)
         except CapFault as fault:
-            if self.access_recorder is not None:
-                self.access_recorder(cap.cursor, width, need, fault.kind)
+            if recorder is not None:
+                recorder(cap.cursor, width, need, fault.kind)
             raise
-        if self.access_recorder is not None:
-            self.access_recorder(cap.cursor, width, need, None)
+        if recorder is not None:
+            recorder(cap.cursor, width, need, None)
 
     def load(self, cap: Capability, width: int) -> int:
         if width not in DATA_WIDTHS:
             raise CapFault(FaultKind.ALIGNMENT_FAULT, cap.cursor, f"bad access width {width}")
-        self._checked(cap, width, Perm.READ)
-        region = self.region_for(cap.cursor, width)
-        if region.is_ram:
+        self._checked(cap, width, READ_MASK)
+        cursor = cap.cursor
+        region = self.region_for(cursor, width)
+        device = region.device
+        if device is None:
             self.advance(self.costs.ram_access_ns)
-            return int.from_bytes(self.data[cap.cursor:cap.cursor + width], "little")
+            return int.from_bytes(self.data[cursor:cursor + width], "little")
         self.advance(self.costs.mmio_access_ns)
-        return region.device.mmio_read(self, cap.cursor - region.base, width)
+        return device.mmio_read(self, cursor - region.base, width)
 
     def store(self, cap: Capability, width: int, value: int) -> None:
         if width not in DATA_WIDTHS:
             raise CapFault(FaultKind.ALIGNMENT_FAULT, cap.cursor, f"bad access width {width}")
-        self._checked(cap, width, Perm.WRITE)
-        region = self.region_for(cap.cursor, width)
-        if region.is_ram:
+        self._checked(cap, width, WRITE_MASK)
+        cursor = cap.cursor
+        region = self.region_for(cursor, width)
+        device = region.device
+        if device is None:
             self.advance(self.costs.ram_access_ns)
-            self.data[cap.cursor:cap.cursor + width] = value.to_bytes(width, "little")
-            self._clear_tags(cap.cursor, width)
+            self.data[cursor:cursor + width] = value.to_bytes(width, "little")
+            self._clear_tags(cursor, width)
         else:
             self.advance(self.costs.mmio_access_ns)
-            region.device.mmio_write(self, cap.cursor - region.base, width, value)
+            device.mmio_write(self, cursor - region.base, width, value)
 
     # -- bulk data copies (RAM only) ----------------------------------------
 
     def load_bytes(self, cap: Capability, count: int) -> bytes:
-        self._checked(cap, count, Perm.READ)
+        self._checked(cap, count, READ_MASK)
         region = self.region_for(cap.cursor, max(count, 1))
         if not region.is_ram:
             raise ValueError("bulk loads are RAM-only")
@@ -173,7 +199,7 @@ class PhysSpace:
 
     def store_bytes(self, cap: Capability, payload: bytes) -> None:
         count = len(payload)
-        self._checked(cap, count, Perm.WRITE)
+        self._checked(cap, count, WRITE_MASK)
         region = self.region_for(cap.cursor, max(count, 1))
         if not region.is_ram:
             raise ValueError("bulk stores are RAM-only")
@@ -188,7 +214,7 @@ class PhysSpace:
         if cap.cursor % GRANULE != 0:
             raise CapFault(FaultKind.ALIGNMENT_FAULT, cap.cursor,
                            "capability store needs 16-byte alignment")
-        self._checked(cap, GRANULE, Perm.STORE_CAP)
+        self._checked(cap, GRANULE, STORE_CAP_MASK)
         region = self.region_for(cap.cursor, GRANULE)
         if not region.is_ram:
             raise ValueError("capability stores are RAM-only")
@@ -203,7 +229,7 @@ class PhysSpace:
         if cap.cursor % GRANULE != 0:
             raise CapFault(FaultKind.ALIGNMENT_FAULT, cap.cursor,
                            "capability load needs 16-byte alignment")
-        self._checked(cap, GRANULE, Perm.LOAD_CAP)
+        self._checked(cap, GRANULE, LOAD_CAP_MASK)
         region = self.region_for(cap.cursor, GRANULE)
         if not region.is_ram:
             raise ValueError("capability loads are RAM-only")
@@ -213,7 +239,8 @@ class PhysSpace:
         if shadow is None:
             return null_capability(int.from_bytes(self.data[cap.cursor:cap.cursor + 8], "little"))
         tag = bool(self.tags[g]) and shadow.tag
-        return replace(shadow, tag=tag)
+        return Capability(shadow.base, shadow.length, shadow.cursor, shadow.perms, tag,
+                          shadow.otype)
 
     # -- device-side DMA (no capability in the loop; the device is hardware) --
 
@@ -243,4 +270,4 @@ class RootAuthority:
         # Zero-length roots are legal (every dereference through them faults)
         # but must still point into exactly one region.
         self._space.region_for(base, max(length, 1))
-        return Capability(base=base, length=length, cursor=base, perms=perms, tag=True)
+        return Capability(base, length, base, perms, True)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .capability import (
+    READ_MASK,
+    WRITE_MASK,
     CapFault,
     Capability,
     FaultKind,
@@ -108,7 +110,7 @@ def unmap(table_root: Capability) -> Capability:
     return unseal(table_root, _AUTHORITY)
 
 
-def _grants(cap: Capability, addr: int, need: Perm) -> bool:
+def _grants(cap: Capability, addr: int, need: int) -> bool:
     try:
         check_access(with_cursor(cap, addr), 1, need)
         return True
@@ -139,14 +141,14 @@ def audit_reachability(table: SliceTable, bar_length: int,
         for b in range(bar_length):
             addr = base + b
             bits = 0
-            if any(_grants(cap, addr, Perm.READ) for cap in caps):
+            if any(_grants(cap, addr, READ_MASK) for cap in caps):
                 bits |= AUDIT_READ
-            if any(_grants(cap, addr, Perm.WRITE) for cap in caps):
+            if any(_grants(cap, addr, WRITE_MASK) for cap in caps):
                 bits |= AUDIT_WRITE
             result[b] = bits
         return result
 
-    for need, bit in ((Perm.READ, AUDIT_READ), (Perm.WRITE, AUDIT_WRITE)):
+    for need, bit in ((READ_MASK, AUDIT_READ), (WRITE_MASK, AUDIT_WRITE)):
         granter: list[Optional[Capability]] = [None] * bar_length
         for cap in caps:
             if not cap.tag or cap.sealed or not cap.has(need):

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from capslice.capability import (
+    READ_MASK,
+    WRITE_MASK,
     CapFault,
     Capability,
     FaultKind,
@@ -237,3 +239,59 @@ def test_otype_space_is_bounded():
     with pytest.raises(CapFault) as err:
         seal(root(), evil)
     assert err.value.kind is FaultKind.BOUNDS_VIOLATION
+
+
+# -- int permission masks ------------------------------------------------------------
+
+def test_perm_and_int_masks_build_equal_capabilities():
+    by_flag = Capability(base=0x40, length=16, cursor=0x40, perms=Perm.READ, tag=True)
+    by_int = Capability(base=0x40, length=16, cursor=0x40, perms=1, tag=True)
+    assert by_flag == by_int
+    assert hash(by_flag) == hash(by_int)
+    assert type(by_flag.perms) is int
+    assert by_flag.perms == Perm.READ == READ_MASK
+
+
+def test_masks_and_flags_check_alike():
+    ro = restrict_perms(root(), Perm.READ)
+    assert ro.has(Perm.READ) and ro.has(READ_MASK)
+    assert not ro.has(Perm.WRITE) and not ro.has(WRITE_MASK)
+    check_access(ro, 4, READ_MASK)
+    check_access(ro, 4, Perm.READ)
+    for need in (WRITE_MASK, Perm.WRITE):
+        with pytest.raises(CapFault) as err:
+            check_access(ro, 4, need)
+        assert str(err.value) == "PERMISSION_DENIED at 0x0: need <Perm.WRITE: 2>, have <Perm.READ: 1>"
+
+
+# Texts copied from the implementation that stored Perm values; formatting
+# goes through Perm only when a repr or a fault is built, so they must not move.
+
+def test_repr_text_is_unchanged():
+    ro = restrict_perms(root(), Perm.READ)
+    assert repr(ro) == "Cap[+](0x0 in 0x0+0x20000, <Perm.READ: 1>)"
+    assert repr(seal(ro, make_otype_authority(7))) == \
+        "Cap[+](0x0 in 0x0+0x20000, <Perm.READ: 1> otype=7)"
+    assert repr(derive_bounds(ro, 0, 0x40000)) == "Cap[-](0x0 in 0x0+0x40000, <Perm.READ: 1>)"
+    wo = with_cursor(restrict_perms(derive_bounds(root(), 0x100, 16), Perm.WRITE), 0x104)
+    assert repr(wo) == "Cap[+](0x104 in 0x100+0x10, <Perm.WRITE: 2>)"
+
+
+def test_fault_texts_are_unchanged():
+    cases = [
+        (restrict_perms(derive_bounds(root(), 0x8, 4), Perm.READ), WRITE_MASK,
+         FaultKind.PERMISSION_DENIED,
+         "PERMISSION_DENIED at 0x8: need <Perm.WRITE: 2>, have <Perm.READ: 1>"),
+        (seal(root(), make_otype_authority(7)), READ_MASK, FaultKind.SEAL_VIOLATION,
+         "SEAL_VIOLATION at 0x0: sealed capability (otype 7)"),
+        (with_cursor(derive_bounds(root(), 0, 4), 0xD0), WRITE_MASK,
+         FaultKind.BOUNDS_VIOLATION,
+         "BOUNDS_VIOLATION at 0xd0: access [0xd0,0xd4) outside [0x0,0x4)"),
+        (null_capability(), READ_MASK, FaultKind.TAG_INVALID,
+         "TAG_INVALID at 0x0: untagged capability"),
+    ]
+    for cap, need, kind, text in cases:
+        with pytest.raises(CapFault) as err:
+            check_access(cap, 4, need)
+        assert err.value.kind is kind
+        assert str(err.value) == text

@@ -1,3 +1,8 @@
+import gc
+
+import pytest
+
+from capslice import harness
 from capslice.harness import (
     MODE_BYPASS,
     MODE_MEDIATED,
@@ -11,6 +16,7 @@ from capslice.harness import (
     run_sweep,
 )
 from capslice.manifest import parse
+from capslice.netstack import DecodeError, Reject
 from capslice.physmem import AccessCostTable
 
 
@@ -139,3 +145,41 @@ def test_oracle_respects_length_argument():
     bits = manifest_reach_oracle(m, 0x14)
     assert len(bits) == 0x14
     assert bits[0x10] != 0 and bits[0x13] != 0
+
+
+def test_cell_frees_its_machines_without_a_cycle_collection():
+    # Each machine holds about 2.3 MB of simulated memory; a reference cycle
+    # through the link's transmit hook would keep both alive until a full
+    # collection.
+    gc.collect()
+    gc.disable()
+    try:
+        unreachable = {}
+        for mode in (MODE_BYPASS, MODE_MEDIATED):
+            run_cell(small_cfg(trials=20), 64, 0, mode)
+            unreachable[mode] = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == {MODE_BYPASS: 0, MODE_MEDIATED: 0}
+
+
+class _NotADecodeError(Exception):
+    pass
+
+
+def test_drain_counts_only_decode_errors_as_mismatches(monkeypatch):
+    def reject(frame):
+        raise DecodeError(Reject.UDP_CHECKSUM)
+
+    monkeypatch.setattr(harness, "decode_udp", reject)
+    with pytest.raises(RuntimeError, match="5 corrupted echoes"):
+        run_cell(small_cfg(trials=5), 64, 0, MODE_BYPASS)
+
+
+def test_drain_propagates_other_errors(monkeypatch):
+    def broken(frame):
+        raise _NotADecodeError("decoder bug")
+
+    monkeypatch.setattr(harness, "decode_udp", broken)
+    with pytest.raises(_NotADecodeError, match="decoder bug"):
+        run_cell(small_cfg(trials=5), 64, 0, MODE_BYPASS)

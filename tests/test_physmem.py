@@ -4,6 +4,7 @@ import pytest
 
 from capslice.capability import (
     CapFault,
+    Capability,
     FaultKind,
     PERM_RW,
     Perm,
@@ -73,6 +74,17 @@ def test_ram_little_endian():
     cap = authority.issue_root(0, 0x10000, PERM_RW)
     space.store(with_cursor(cap, 0x40), 4, 0x11223344)
     assert space.data[0x40:0x44] == bytes([0x44, 0x33, 0x22, 0x11])
+
+
+def test_fresh_space_reads_zero_and_keeps_its_size():
+    space, authority, _ = make_space()
+    cap = authority.issue_root(0, 0x10000, PERM_RW)
+    assert len(space.data) == 0x20000
+    assert space.dma_read(0xFFF0, 0x10) == bytes(0x10)
+    assert space.load(with_cursor(cap, 0xFFF8), 8) == 0
+    space.dma_write(0xFFFC, b"\x01\x02\x03\x04")
+    assert space.dma_read(0xFFFC, 4) == b"\x01\x02\x03\x04"
+    assert len(space.data) == 0x20000
 
 
 def test_store_through_readonly_faults_and_leaves_state():
@@ -232,3 +244,88 @@ def test_clock_monotonic_under_any_sequence():
             pass
         assert space.clock >= last
         last = space.clock
+
+
+# -- region lookup ------------------------------------------------------------------
+
+def make_gapped_space():
+    """RAM, MMIO, a gap, then more RAM."""
+    space, authority, dev = make_space()
+    space.add_region(0x18000, 0x8000, name="ram2")
+    return space, authority, dev
+
+
+def test_region_lookup_alternates_between_regions():
+    space, authority, dev = make_gapped_space()
+    ram = authority.issue_root(0, 0x10000, PERM_RW)
+    mmio = authority.issue_root(0x10000, 0x1000, PERM_RW)
+    ram2 = authority.issue_root(0x18000, 0x8000, PERM_RW)
+    space.store(with_cursor(ram, 0x40), 4, 0x11111111)
+    space.store(with_cursor(ram2, 0x18040), 4, 0x22222222)
+    for _ in range(3):
+        assert space.region_for(0x40, 4).name == "ram"
+        assert space.load(with_cursor(ram, 0x40), 4) == 0x11111111
+        assert space.region_for(0x10000, 4).name == "mmio"
+        assert space.load(mmio, 4) == 0xC0FFEE
+        assert space.region_for(0x18040, 4).name == "ram2"
+        assert space.load(with_cursor(ram2, 0x18040), 4) == 0x22222222
+    assert space.region_for(0x10FFC, 4).name == "mmio"
+    assert space.region_for(0x1FFF8, 8).name == "ram2"
+
+
+def test_region_lookup_rejects_straddles_and_gaps():
+    space, authority, _ = make_gapped_space()
+    ram = authority.issue_root(0, 0x10000, PERM_RW)
+    space.load(ram, 4)  # the RAM region is now the last one found
+    with pytest.raises(ValueError):
+        space.region_for(0xFFFC, 8)  # across RAM's top into MMIO
+    space.region_for(0x10000, 4)  # now MMIO
+    with pytest.raises(ValueError):
+        space.region_for(0x10FFC, 8)  # across MMIO's top into the gap
+    for addr in (0x11000, 0x14000, 0x17FFF):
+        with pytest.raises(ValueError):
+            space.region_for(addr, 1)
+    with pytest.raises(ValueError):
+        space.region_for(0x17FFC, 8)  # from the gap into ram2
+    with pytest.raises(ValueError):
+        space.region_for(0x1FFFC, 8)  # past the end of the space
+    # Forged capabilities pass their own checks, then find no single region.
+    over_gap = Capability(base=0x11000, length=0x1000, cursor=0x11000, perms=PERM_RW, tag=True)
+    with pytest.raises(ValueError):
+        space.load(over_gap, 4)
+    over_top = Capability(base=0, length=0x11000, cursor=0xFFFC, perms=PERM_RW, tag=True)
+    space.load(ram, 4)
+    with pytest.raises(ValueError):
+        space.load(over_top, 8)
+
+
+# -- tag clearing -------------------------------------------------------------------
+
+def tag_two_granules(space, cap, addr):
+    value = derive_bounds(cap, 0x2000, 0x100)
+    for g in (addr, addr + GRANULE):
+        space.cap_store(with_cursor(cap, g), value)
+    return [space.tags[addr // GRANULE], space.tags[addr // GRANULE + 1]]
+
+
+def test_store_across_granule_boundary_clears_both_tags():
+    space, authority, _ = make_space()
+    cap = authority.issue_root(0, 0x10000, CAP_PERMS)
+    assert tag_two_granules(space, cap, 0x1000) == [1, 1]
+    space.store(with_cursor(cap, 0x100F), 2, 0xFFFF)
+    assert [space.tags[0x100], space.tags[0x101]] == [0, 0]
+    assert tag_two_granules(space, cap, 0x1000) == [1, 1]
+    space.store(with_cursor(cap, 0x100F), 1, 0xFF)
+    assert [space.tags[0x100], space.tags[0x101]] == [0, 1]
+
+
+def test_empty_bulk_store_clears_no_tag():
+    space, authority, _ = make_space()
+    cap = authority.issue_root(0, 0x10000, CAP_PERMS)
+    assert tag_two_granules(space, cap, 0x1000) == [1, 1]
+    for addr in (0x1000, 0x100F, 0x1010):
+        space.store_bytes(with_cursor(cap, addr), b"")
+    space.dma_write(0x1010, b"")
+    assert [space.tags[0x100], space.tags[0x101]] == [1, 1]
+    space.dma_write(0x100F, b"\x00\x00")
+    assert [space.tags[0x100], space.tags[0x101]] == [0, 0]
