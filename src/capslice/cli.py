@@ -7,17 +7,20 @@ Subcommands:
     sweep                    run the latency sweep, write results.csv
                              and improvement.csv
 
-Exit codes: 0 all checks pass, 1 suite/validation failure, 2 usage error.
+Exit codes: 0 all checks pass, 1 suite/validation failure or an unreadable
+manifest, 2 usage error (including a sweep grid or cost flag out of range).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from . import harness
-from .manifest import ManifestError, expand, parse_file, validate
+from .manifest import Manifest, ManifestError, expand, parse_file, validate
+from .netstack import MAX_PAYLOAD
 from .physmem import AccessCostTable
 
 
@@ -96,12 +99,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_manifests(*paths: Path | None) -> list[Manifest | None] | None:
+    """Parse each given manifest path (None stays None). On an unreadable or
+    unparsable file, print why and return None."""
+    manifests: list[Manifest | None] = []
+    for path in paths:
+        try:
+            manifests.append(parse_file(path) if path is not None else None)
+        except (OSError, UnicodeDecodeError, ManifestError) as err:
+            print(f"error: {path}: {err}", file=sys.stderr)
+            return None
+    return manifests
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        m = parse_file(args.manifest)
-    except (OSError, ManifestError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    read = _read_manifests(args.manifest)
+    if read is None:
         return 1
+    m = read[0]
     violations = validate(m)
     if violations:
         for v in violations:
@@ -113,11 +128,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_slice_dump(args: argparse.Namespace) -> int:
-    try:
-        m = parse_file(args.manifest)
-    except (OSError, ManifestError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    read = _read_manifests(args.manifest)
+    if read is None:
         return 1
+    m = read[0]
     violations = validate(m)
     if violations:
         for v in violations:
@@ -130,9 +144,10 @@ def cmd_slice_dump(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    bar_m = parse_file(args.manifest) if args.manifest else None
-    dma_m = parse_file(args.dma_manifest) if args.dma_manifest else None
-    report = harness.run_isolation_suite(bar_m, dma_m)
+    read = _read_manifests(args.manifest, args.dma_manifest)
+    if read is None:
+        return 1
+    report = harness.run_isolation_suite(*read)
     text = report.render()
     print(text, end="")
     if args.out is not None:
@@ -140,6 +155,31 @@ def cmd_audit(args: argparse.Namespace) -> int:
         (args.out / "audit.txt").write_text(text, encoding="utf-8")
         print(f"wrote {args.out / 'audit.txt'}")
     return 0 if report.passed else 1
+
+
+def _sweep_usage_error(cfg: harness.SweepConfig) -> str | None:
+    """Check the whole sweep grid before any cell runs."""
+    modes = (harness.MODE_BYPASS, harness.MODE_MEDIATED)
+    if not cfg.modes or any(m not in modes for m in cfg.modes):
+        return f"--modes must be a comma-separated subset of: {','.join(modes)}"
+    if not 1 <= cfg.trials <= harness.LoadGenerator.MAX_TRIALS:
+        return f"--trials must be in 1..{harness.LoadGenerator.MAX_TRIALS}"
+    if not cfg.packet_sizes or any(not 0 <= s <= MAX_PAYLOAD for s in cfg.packet_sizes):
+        return f"--sizes must be payload sizes in 0..{MAX_PAYLOAD}"
+    if not cfg.delays_us or any(d < 0 for d in cfg.delays_us):
+        return "--delays must be non-negative"
+    if cfg.window < 1:
+        return "--window must be at least 1"
+    costs = cfg.costs
+    for flag, value in (("--link-ns", cfg.link_ns),
+                        ("--wire-ns-per-byte", cfg.wire_ns_per_byte),
+                        ("--syscall-ns", costs.syscall_ns),
+                        ("--mmio-ns", costs.mmio_access_ns),
+                        ("--ram-ns", costs.ram_access_ns),
+                        ("--copy-ns-per-byte", costs.copy_per_byte_ns)):
+        if not (math.isfinite(value) and value >= 0):
+            return f"{flag} must be a finite non-negative number"
+    return None
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -160,10 +200,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cfg.wire_ns_per_byte = args.wire_ns_per_byte
     if args.window is not None:
         cfg.window = args.window
-    if args.manifest is not None:
-        cfg.bar_manifest = parse_file(args.manifest)
-    if args.dma_manifest is not None:
-        cfg.dma_manifest = parse_file(args.dma_manifest)
+    problem = _sweep_usage_error(cfg)
+    if problem is not None:
+        print(f"capslice sweep: error: {problem}", file=sys.stderr)
+        return 2
+    read = _read_manifests(args.manifest, args.dma_manifest)
+    if read is None:
+        return 1
+    cfg.bar_manifest, cfg.dma_manifest = read
 
     result = harness.run_sweep(cfg)
     args.out.mkdir(parents=True, exist_ok=True)

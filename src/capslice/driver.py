@@ -72,8 +72,8 @@ class Driver:
             raise ApiError(ErrCode.BUSY, "transmit ring full")
         k = self.tx_tail_shadow
         self.space.store_bytes(self._txbuf[k], frame)
-        meta = self._txd[k]  # descriptor bytes 8..15
-        self.space.store(with_cursor(meta, meta.base), 2, len(frame))
+        meta = self._txd[k]  # descriptor bytes 8..15; a slice's cursor is its base
+        self.space.store(meta, 2, len(frame))
         self.space.store(with_cursor(meta, meta.base + 4), 1, 0)  # clear DD
         self.space.store(with_cursor(meta, meta.base + 3), 1,
                          TX_CMD_EOP | TX_CMD_IFCS | TX_CMD_RS)
@@ -89,7 +89,7 @@ class Driver:
             status = self.space.load(with_cursor(meta, meta.base + 4), 1)
             if not status & DESC_DD:
                 break
-            length = self.space.load(with_cursor(meta, meta.base), 2)
+            length = self.space.load(meta, 2)
             frames.append(self.space.load_bytes(self._rxbuf[self.rx_head_shadow], length))
             self.space.store(with_cursor(meta, meta.base + 4), 1, status & ~DESC_DD)
             self.rx_head_shadow = (self.rx_head_shadow + 1) % RING_SIZE

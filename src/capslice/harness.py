@@ -199,7 +199,8 @@ class LoadGenerator:
         m = self.machine
         m.space.advance_to(t)
         k = self.next_to_send
-        src = replace(m.endpoint, port=m.endpoint.port + k)
+        ep = m.endpoint
+        src = UdpEndpoint(ep.mac, ep.ipv4, ep.port + k)
         frame = encode_udp(src, self.dst, self.payloads[k])
         stamp = m.space.clock
         m.driver.send(frame)

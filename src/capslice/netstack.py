@@ -24,7 +24,12 @@ MAX_PAYLOAD = 1472            # MTU-limited UDP payload
 MAX_FRAME = HEADERS + MAX_PAYLOAD  # 1514, no FCS
 
 _IPV4 = struct.Struct("!BBHHHBBH4s4s")
-_UDP = struct.Struct("!HHHH")
+# UDP pseudo-header: source, destination, zero, protocol, UDP length.
+_PSEUDO = struct.Struct("!4s4sxBH")
+# The pseudo-header followed by the UDP header, as the UDP checksum covers them.
+_PSEUDO_UDP = struct.Struct(_PSEUDO.format + "HHHH")
+# Ethernet II + IPv4 + UDP headers, read or written in one call.
+_FRAME_HEADERS = struct.Struct("!6s6sH" "BBHHHBBH4s4s" "HHHH")
 
 
 @dataclass(frozen=True)
@@ -55,13 +60,20 @@ class DecodeError(Exception):
 
 
 def ones_complement_sum(data: bytes) -> int:
-    """RFC 1071 checksum over `data` (padded with a trailing zero if odd)."""
+    """RFC 1071 sum of `data` as big-endian 16-bit words (padded with a
+    trailing zero if odd), folded with end-around carry.
+
+    Computed in one fold: 2**16 == 1 (mod 0xFFFF), so the whole buffer read
+    as one integer is congruent to the sum of its words. The carry fold
+    yields 0 only for all-zero data, so a zero residue of nonzero data
+    stands for 0xFFFF.
+    """
+    n = int.from_bytes(data, "big")
     if len(data) % 2:
-        data = data + b"\x00"
-    total = sum(struct.unpack(f"!{len(data) // 2}H", data))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
+        n <<= 8
+    if not n:
+        return 0
+    return n % 0xFFFF or 0xFFFF
 
 
 def _checksum(data: bytes) -> int:
@@ -76,53 +88,49 @@ def encode_udp(src: UdpEndpoint, dst: UdpEndpoint, payload: bytes) -> bytes:
     udp_len = UDP_HEADER + len(payload)
     ip_len = IPV4_HEADER + udp_len
 
-    ip = _IPV4.pack(0x45, 0, ip_len, 0, 0, 64, IP_PROTO_UDP, 0, src.ipv4, dst.ipv4)
-    ip = ip[:10] + struct.pack("!H", _checksum(ip)) + ip[12:]
+    ip_csum = _checksum(
+        _IPV4.pack(0x45, 0, ip_len, 0, 0, 64, IP_PROTO_UDP, 0, src.ipv4, dst.ipv4))
+    udp_csum = _checksum(_PSEUDO_UDP.pack(src.ipv4, dst.ipv4, IP_PROTO_UDP, udp_len,
+                                          src.port, dst.port, udp_len, 0) + payload)
+    if udp_csum == 0:
+        udp_csum = 0xFFFF  # transmitted checksum of zero means "none"; never emit it
 
-    pseudo = src.ipv4 + dst.ipv4 + struct.pack("!BBH", 0, IP_PROTO_UDP, udp_len)
-    udp = _UDP.pack(src.port, dst.port, udp_len, 0)
-    csum = _checksum(pseudo + udp + payload)
-    if csum == 0:
-        csum = 0xFFFF  # transmitted checksum of zero means "none"; never emit it
-    udp = udp[:6] + struct.pack("!H", csum)
-
-    return dst.mac + src.mac + struct.pack("!H", ETHERTYPE_IPV4) + ip + udp + payload
+    return _FRAME_HEADERS.pack(
+        dst.mac, src.mac, ETHERTYPE_IPV4,
+        0x45, 0, ip_len, 0, 0, 64, IP_PROTO_UDP, ip_csum, src.ipv4, dst.ipv4,
+        src.port, dst.port, udp_len, udp_csum) + payload
 
 
 def decode_udp(frame: bytes) -> tuple[UdpEndpoint, UdpEndpoint, bytes]:
     """Parse and fully validate a frame; returns (src, dst, payload)."""
     if len(frame) < HEADERS:
         raise DecodeError(Reject.RUNT)
-    dst_mac, src_mac = frame[0:6], frame[6:12]
-    if struct.unpack("!H", frame[12:14])[0] != ETHERTYPE_IPV4:
+    (dst_mac, src_mac, ethertype,
+     ver_ihl, _tos, ip_len, _id, _frag, _ttl, proto, _csum, src_ip, dst_ip,
+     sport, dport, udp_len, udp_csum) = _FRAME_HEADERS.unpack_from(frame)
+    if ethertype != ETHERTYPE_IPV4:
         raise DecodeError(Reject.ETHERTYPE)
-
-    ip = frame[ETH_HEADER:ETH_HEADER + IPV4_HEADER]
-    ver_ihl, _tos, ip_len, _id, _frag, _ttl, proto, _csum, src_ip, dst_ip = _IPV4.unpack(ip)
     if ver_ihl != 0x45:
         raise DecodeError(Reject.IP_VERSION)
-    if ones_complement_sum(ip) != 0xFFFF:
+    if ones_complement_sum(frame[ETH_HEADER:ETH_HEADER + IPV4_HEADER]) != 0xFFFF:
         raise DecodeError(Reject.IP_CHECKSUM)
     if ip_len < IPV4_HEADER + UDP_HEADER or ETH_HEADER + ip_len > len(frame):
         raise DecodeError(Reject.IP_LENGTH)
     if proto != IP_PROTO_UDP:
         raise DecodeError(Reject.PROTOCOL)
-
-    udp_off = ETH_HEADER + IPV4_HEADER
-    sport, dport, udp_len, udp_csum = _UDP.unpack(frame[udp_off:udp_off + UDP_HEADER])
     if udp_len != ip_len - IPV4_HEADER:
         raise DecodeError(Reject.UDP_LENGTH)
-    payload = bytes(frame[udp_off + UDP_HEADER:ETH_HEADER + ip_len])
     if udp_csum == 0:
         raise DecodeError(Reject.UDP_CHECKSUM)
-    pseudo = src_ip + dst_ip + struct.pack("!BBH", 0, IP_PROTO_UDP, udp_len)
-    if ones_complement_sum(pseudo + frame[udp_off:ETH_HEADER + ip_len]) != 0xFFFF:
+    end = ETH_HEADER + ip_len
+    pseudo = _PSEUDO.pack(src_ip, dst_ip, IP_PROTO_UDP, udp_len)
+    if ones_complement_sum(pseudo + frame[ETH_HEADER + IPV4_HEADER:end]) != 0xFFFF:
         raise DecodeError(Reject.UDP_CHECKSUM)
 
     return (
-        UdpEndpoint(bytes(src_mac), src_ip, sport),
-        UdpEndpoint(bytes(dst_mac), dst_ip, dport),
-        payload,
+        UdpEndpoint(src_mac, src_ip, sport),
+        UdpEndpoint(dst_mac, dst_ip, dport),
+        bytes(frame[HEADERS:end]),
     )
 
 

@@ -233,8 +233,9 @@ class NicModel:
         raw = space.dma_read(desc, DESC_SIZE)
         addr = int.from_bytes(raw[0:8], "little")
         space.dma_write(addr, frame)
-        space.dma_write(desc + 8, len(frame).to_bytes(2, "little"))
-        space.dma_write(desc + 12, bytes([raw[12] | DESC_DD]))
+        # length, the untouched bytes 10..11, and the status with DD
+        space.dma_write(desc + 8, len(frame).to_bytes(2, "little") + raw[10:12]
+                        + bytes((raw[12] | DESC_DD,)))
         self.regs[REG_RDH] = (head + 1) % count
         self.counters.rx_frames += 1
         return True

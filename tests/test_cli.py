@@ -62,3 +62,65 @@ def test_usage_errors_exit_2():
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["sweep", "--trials", "not-a-number"]) == 2
+
+
+def _no_cell_may_run(monkeypatch):
+    def fail(*_args, **_kwargs):
+        raise AssertionError("a sweep cell ran despite bad input")
+    monkeypatch.setattr("capslice.harness.run_cell", fail)
+
+
+def test_sweep_rejects_bad_grid_before_any_cell_runs(tmp_path, capsys, monkeypatch):
+    _no_cell_may_run(monkeypatch)
+    bad = [
+        ["--trials", "0"],
+        ["--trials", "-3"],
+        ["--trials", "20001"],
+        ["--trials", "30000"],
+        ["--modes", "foo"],
+        ["--modes", "bypass,foo"],
+        ["--modes", ","],
+        ["--sizes", "2000"],
+        ["--sizes", "64,1473"],
+        ["--sizes", "-1"],
+        ["--sizes", ","],
+        ["--delays", "-5"],
+        ["--window", "0"],
+        ["--syscall-ns", "-1"],
+        ["--ram-ns", "nan"],
+        ["--link-ns", "inf"],
+    ]
+    for flags in bad:
+        out = tmp_path / "_".join(flags).replace(",", "c")
+        assert main(["sweep", *flags, "--out", str(out)]) == 2, flags
+        err = capsys.readouterr().err
+        assert "error:" in err and flags[0] in err and "Traceback" not in err, flags
+        assert not out.exists(), flags
+
+
+def test_sweep_accepts_grid_edges(tmp_path):
+    code = main(["sweep", "--trials", "1", "--sizes", "0,1472", "--delays", "0",
+                 "--modes", "bypass", "--out", str(tmp_path)])
+    assert code == 0
+    rows = (tmp_path / "results.csv").read_text().strip().splitlines()
+    assert [r.split(",")[:4] for r in rows[1:]] == [["bypass", "0", "0", "1"],
+                                                     ["bypass", "1472", "0", "1"]]
+
+
+def test_unreadable_manifest_exits_1(tmp_path, capsys, monkeypatch):
+    _no_cell_may_run(monkeypatch)
+    garbled = tmp_path / "garbled.manifest"
+    garbled.write_text("device x\nbar 0x10\nreg A zero 4 RW\n")
+    binary = tmp_path / "binary.manifest"
+    binary.write_bytes(b"\xff\xfe\x00\x80")
+    missing = tmp_path / "missing.manifest"
+    for path in (missing, garbled, binary, tmp_path):
+        for cmd in (["sweep", "--trials", "1"], ["audit"]):
+            for flag in ("--manifest", "--dma-manifest"):
+                argv = [*cmd, flag, str(path), "--out", str(tmp_path / "out")]
+                assert main(argv) == 1, argv
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: {path}") and "Traceback" not in err, argv
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}")
+    assert not (tmp_path / "out").exists()

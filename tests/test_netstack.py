@@ -5,6 +5,7 @@ import pytest
 from capslice.netstack import (
     DecodeError,
     HEADERS,
+    MAX_FRAME,
     MAX_PAYLOAD,
     Reject,
     UdpEndpoint,
@@ -62,9 +63,19 @@ def test_fixed_vector_against_independent_oracle():
 
 def test_checksum_helper_matches_reference_on_random_buffers():
     rng = random.Random(3)
-    for _ in range(200):
-        data = rng.randbytes(rng.randrange(0, 64))
-        assert ones_complement_sum(data) == ref_ones_complement(data)
+    buffers = [rng.randbytes(rng.randrange(0, 64)) for _ in range(200)]
+    buffers += [rng.randbytes(rng.randrange(0, MAX_FRAME + 1)) for _ in range(100)]
+    # hostile inputs: sums that fold to 0 or 0xFFFF, and odd lengths
+    buffers += [
+        b"",
+        bytes(1), bytes(2), bytes(41), bytes(MAX_FRAME),
+        b"\xff", b"\xff\xff", b"\xff" * 41, b"\xff" * MAX_FRAME,
+        b"\x80\x00\x7f\xff", b"\x00\x01\xff\xfe", b"\xfe\xff\x01",
+        b"\x00" * 40 + b"\x01", b"\x01" + b"\x00" * 40,
+    ]
+    for data in buffers:
+        assert ones_complement_sum(data) == ref_ones_complement(data), data[:8]
+    assert ones_complement_sum(b"\x80\x00\x7f\xff") == 0xFFFF  # never 0 for nonzero data
 
 
 def test_roundtrip_every_interesting_size():
@@ -118,6 +129,97 @@ def test_every_checksummed_header_bit_is_protected():
             mutated[byte] ^= 1 << bit
             with pytest.raises(DecodeError):
                 decode_udp(bytes(mutated))
+
+
+def _set_u16(frame, offset, value):
+    frame[offset:offset + 2] = value.to_bytes(2, "big")
+
+
+def _refix_ip_checksum(frame):
+    # recompute the IPv4 header checksum so only the intended defects remain
+    _set_u16(frame, 24, 0)
+    _set_u16(frame, 24, (~ref_ones_complement(bytes(frame[14:34]))) & 0xFFFF)
+
+
+def _bad_ethertype(f):
+    f[12:14] = b"\x86\xdd"
+
+
+def _bad_version(f):
+    f[14] = 0x65
+
+
+def _bad_ip_checksum(f):
+    f[24] ^= 0x10
+
+
+def _ip_len_too_big(f):
+    _set_u16(f, 16, len(f) - 14 + 2)
+
+
+def _ip_len_too_small(f):
+    _set_u16(f, 16, 27)
+
+
+def _ip_len_short_by_two(f):
+    _set_u16(f, 16, len(f) - 14 - 2)
+
+
+def _bad_protocol(f):
+    f[23] = 6
+
+
+def _bad_udp_length(f):
+    _set_u16(f, 38, int.from_bytes(f[38:40], "big") + 1)
+
+
+def _zero_udp_checksum(f):
+    _set_u16(f, 40, 0)
+
+
+def _flip_payload(f):
+    f[-1] ^= 0x40
+
+
+def _runt(f):
+    del f[HEADERS - 1:]
+
+
+# Frames with two or more defects at once; the expected reason is the one
+# the original four-slice decoder reported, so the first failing check in
+# RUNT, ETHERTYPE, IP_VERSION, IP_CHECKSUM, IP_LENGTH, PROTOCOL, UDP_LENGTH,
+# UDP_CHECKSUM order wins. `refix` re-seals the IP header checksum after the
+# defects are applied.
+REJECT_ORDER_CASES = [
+    ((_bad_ethertype, _bad_version), False, Reject.ETHERTYPE),
+    ((_bad_ethertype, _bad_ip_checksum, _bad_protocol), False, Reject.ETHERTYPE),
+    ((_runt, _bad_ethertype, _bad_version), False, Reject.RUNT),
+    ((_bad_version, _bad_ip_checksum), False, Reject.IP_VERSION),
+    ((_bad_version, _ip_len_too_big, _bad_protocol), True, Reject.IP_VERSION),
+    ((_bad_ip_checksum, _ip_len_too_big), False, Reject.IP_CHECKSUM),
+    ((_bad_ip_checksum, _bad_protocol, _bad_udp_length), False, Reject.IP_CHECKSUM),
+    ((_ip_len_too_big, _bad_protocol), True, Reject.IP_LENGTH),
+    ((_ip_len_too_small, _bad_protocol, _zero_udp_checksum), True, Reject.IP_LENGTH),
+    ((_bad_protocol, _bad_udp_length), True, Reject.PROTOCOL),
+    ((_bad_protocol, _zero_udp_checksum, _flip_payload), True, Reject.PROTOCOL),
+    ((_bad_udp_length, _zero_udp_checksum), False, Reject.UDP_LENGTH),
+    ((_ip_len_short_by_two, _flip_payload), True, Reject.UDP_LENGTH),
+    ((_zero_udp_checksum, _flip_payload), False, Reject.UDP_CHECKSUM),
+]
+
+
+@pytest.mark.parametrize("defects,refix,reason", REJECT_ORDER_CASES,
+                         ids=["+".join(d.__name__[1:] for d in case[0])
+                              for case in REJECT_ORDER_CASES])
+def test_multi_defect_frames_reject_in_check_order(defects, refix, reason):
+    frame = bytearray(encode_udp(A, B, bytes(range(24))))
+    for defect in defects:
+        defect(frame)
+    if refix:
+        _refix_ip_checksum(frame)
+    with pytest.raises(DecodeError) as err:
+        decode_udp(bytes(frame))
+    assert err.value.reason is reason
 
 
 # -- echo -------------------------------------------------------------------------

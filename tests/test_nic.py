@@ -134,11 +134,13 @@ def test_bad_length_descriptor_skipped_with_error():
 
 def test_deliver_frame_fills_descriptor():
     m, dev, _ = rig()
+    desc = dev.dma.rx_ring
+    m.space.dma_write(desc + 10, b"\xa5\x5a")  # bytes the device must not touch
     frame = bytes(range(60))
     assert m.nic.deliver_frame(m.space, frame)
     assert m.space.dma_read(dev.dma.rx_buf(0), 60) == frame
-    desc = dev.dma.rx_ring
     assert int.from_bytes(m.space.dma_read(desc + 8, 2), "little") == 60
+    assert m.space.dma_read(desc + 10, 2) == b"\xa5\x5a"
     assert rd_status(m, dev.dma.rx_ring, 0) & DESC_DD
     assert mmio(m, dev, REG_RDH) == 1
 
