@@ -7,8 +7,9 @@ Subcommands:
     sweep                    run the latency sweep, write results.csv
                              and improvement.csv
 
-Exit codes: 0 all checks pass, 1 suite/validation failure or an unreadable
-manifest, 2 usage error (including a sweep grid or cost flag out of range).
+Exit codes: 0 all checks pass, 1 suite/validation failure, an unreadable
+manifest, or one the kernel refuses, 2 usage error (including a sweep grid
+or cost flag out of range).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import sys
 from pathlib import Path
 
 from . import harness
+from .kernel import ApiError
 from .manifest import Manifest, ManifestError, expand, parse_file, validate
 from .netstack import MAX_PAYLOAD
 from .physmem import AccessCostTable
@@ -234,7 +236,11 @@ def main(argv: list[str] | None = None) -> int:
         "audit": cmd_audit,
         "sweep": cmd_sweep,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ApiError as err:  # a manifest that parses but does not fit the device
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -128,6 +128,9 @@ class EchoServer:
         self.loop = loop
         self._scheduled = False
         self.echoed = 0
+        d = machine.driver
+        self._recv, self._send = ((d.poll_recv, d.send) if machine.mode == MODE_BYPASS
+                                  else (d.mediated_recv, d.mediated_send))
 
     def on_frame(self, arrival: float) -> None:
         if not self._scheduled:
@@ -136,20 +139,12 @@ class EchoServer:
 
     def _run(self, t: float) -> None:
         self._scheduled = False
-        m = self.machine
-        m.space.advance_to(t)
-        if m.mode == MODE_BYPASS:
-            frames = m.driver.poll_recv()
-        else:
-            frames = m.driver.mediated_recv()
-        for frame in frames:
+        self.machine.space.advance_to(t)
+        for frame in self._recv():
             reply = echo_reply(frame)
             if reply is None:
                 continue
-            if m.mode == MODE_BYPASS:
-                m.driver.send(reply)
-            else:
-                m.driver.mediated_send(reply)
+            self._send(reply)
             self.echoed += 1
 
 

@@ -6,15 +6,18 @@ registered manifests, and one privileged ioctl for rewriting descriptor
 buffer addresses. Everything else is denied, and denials provably touch
 neither the device nor DMA memory.
 
-A conventional socket-style send/recv path also lives here; it is the
-kernel-mediated baseline the bypass driver is benchmarked against, not
-part of the token-gated interface.
+The descriptor-ring engine `Rings` is the one data plane under two
+control paths: the bypass driver runs it over its slices, and the
+socket-style send/recv path here (the kernel-mediated baseline, not part
+of the token-gated interface) runs it over the kernel roots, adding only
+the crossing and copy charges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, Optional
 
 from . import slicer
 from .capability import (
@@ -31,6 +34,8 @@ from .capability import (
 )
 from .manifest import Manifest
 from .nic import (
+    BAR_LENGTH,
+    BUF_SIZE,
     DESC_DD,
     DESC_SIZE,
     NicModel,
@@ -57,7 +62,6 @@ from .physmem import PhysSpace, RootAuthority
 _INTERFACE_AUTHORITY = make_otype_authority(slicer.INTERFACE_OTYPE)
 
 RING_SIZE = 64
-BUF_SIZE = 2048
 
 # Fixed layout of one device's DMA region. The shipped DMA manifest
 # mirrors these offsets; test_kernel checks they agree.
@@ -111,6 +115,77 @@ class DmaLayout:
         return self.base + DMA_LENGTH
 
 
+@dataclass(eq=False, repr=False)
+class Rings:
+    """TX/RX descriptor-ring engine over the capabilities it is given: one
+    per buffer, one per TDT/RDT register, and one per descriptor's bytes
+    8..15 with its cursor on the length field. The cmd and status bytes are
+    addressed from that cursor, so slices (cursor at base) and capabilities
+    derived from a kernel root work alike."""
+
+    space: PhysSpace
+    tx_meta: list[Capability]
+    tx_bufs: list[Capability]
+    rx_meta: list[Capability]
+    rx_bufs: list[Capability]
+    tdt: Capability
+    rdt: Capability
+    tx_tail: int = 0  # the oldest in-flight descriptor is tx_tail - tx_inflight
+    tx_inflight: int = 0
+    rx_head: int = 0  # RDT stays one behind, since head == tail means empty
+
+    def send(self, frame: bytes) -> None:
+        """Copy the frame into the next free transmit buffer, fill the
+        descriptor, and write the tail register."""
+        if len(frame) > BUF_SIZE:
+            raise ApiError(ErrCode.BAD_ARGUMENT, f"frame of {len(frame)} bytes")
+        space = self.space
+        # TDH is kernel-only, so occupancy is tracked by polling the oldest
+        # in-flight descriptor for the DD bit the device sets on completion.
+        while self.tx_inflight > 0:
+            meta = self.tx_meta[(self.tx_tail - self.tx_inflight) % RING_SIZE]
+            if not space.load(with_cursor(meta, meta.cursor + 4), 1) & DESC_DD:
+                break
+            self.tx_inflight -= 1
+        if self.tx_inflight == RING_SIZE:
+            raise ApiError(ErrCode.BUSY, "transmit ring full")
+        k = self.tx_tail
+        space.store_bytes(self.tx_bufs[k], frame)
+        meta = self.tx_meta[k]
+        space.store(meta, 2, len(frame))
+        space.store(with_cursor(meta, meta.cursor + 4), 1, 0)  # clear DD
+        space.store(with_cursor(meta, meta.cursor + 3), 1,
+                    TX_CMD_EOP | TX_CMD_IFCS | TX_CMD_RS)
+        self.tx_inflight += 1
+        self.tx_tail = (k + 1) % RING_SIZE
+        space.store(self.tdt, 4, self.tx_tail)
+
+    def recv(self, enter: Optional[Callable[[], None]] = None,
+             copy_out: Optional[Callable[[int], None]] = None) -> list[bytes]:
+        """Drain every completed RX descriptor; one RDT write at the end. A
+        kernel caller charges each frame: `enter()` before reading it and
+        `copy_out(length)` after."""
+        space = self.space
+        frames: list[bytes] = []
+        while True:
+            meta = self.rx_meta[self.rx_head]
+            status_cap = with_cursor(meta, meta.cursor + 4)
+            status = space.load(status_cap, 1)
+            if not status & DESC_DD:
+                break
+            if enter is not None:
+                enter()
+            length = space.load(meta, 2)
+            frames.append(space.load_bytes(self.rx_bufs[self.rx_head], length))
+            if copy_out is not None:
+                copy_out(length)
+            space.store(status_cap, 1, status & ~DESC_DD)
+            self.rx_head = (self.rx_head + 1) % RING_SIZE
+        if frames:
+            space.store(self.rdt, 4, (self.rx_head - 1) % RING_SIZE)
+        return frames
+
+
 @dataclass
 class AttachRecord:
     process_id: int
@@ -128,12 +203,7 @@ class DeviceState:
     mmio_root: Capability
     dma_root: Capability
     dma: DmaLayout
-    # Kernel-side ring shadows for the socket path.
-    tx_tail: int = 0
-    tx_oldest: int = 0
-    tx_inflight: int = 0
-    rx_head: int = 0
-    rx_tail: int = RING_SIZE - 1
+    rings: Optional[Rings] = None  # the socket path's; built by its first call
 
 
 class Kernel:
@@ -173,6 +243,10 @@ class Kernel:
         rings, enable TX/RX, and register the manifests with the interface."""
         if name in self._devices:
             raise ApiError(ErrCode.BUSY, f"{name} already attached")
+        if bar_manifest.bar_length > BAR_LENGTH:
+            raise ApiError(ErrCode.BAD_ARGUMENT,
+                           f"BAR manifest covers {bar_manifest.bar_length:#x},"
+                           f" the BAR is {BAR_LENGTH:#x}")
         if dma_manifest.bar_length != DMA_LENGTH:
             raise ApiError(ErrCode.BAD_ARGUMENT,
                            f"DMA manifest covers {dma_manifest.bar_length:#x},"
@@ -200,12 +274,10 @@ class Kernel:
         # Preprogram every descriptor to its paired buffer so the data
         # path never needs the kernel to fix addresses.
         for k in range(RING_SIZE):
-            self.space.store(self._dma_at(dma_root, dma.tx_ring + k * DESC_SIZE), 8,
-                             dma.tx_buf(k))
-            self.space.store(self._dma_at(dma_root, dma.tx_ring + k * DESC_SIZE + 8), 8, 0)
-            self.space.store(self._dma_at(dma_root, dma.rx_ring + k * DESC_SIZE), 8,
-                             dma.rx_buf(k))
-            self.space.store(self._dma_at(dma_root, dma.rx_ring + k * DESC_SIZE + 8), 8, 0)
+            self.space.store(with_cursor(dma_root, dma.tx_ring + k * DESC_SIZE), 8, dma.tx_buf(k))
+            self.space.store(with_cursor(dma_root, dma.tx_ring + k * DESC_SIZE + 8), 8, 0)
+            self.space.store(with_cursor(dma_root, dma.rx_ring + k * DESC_SIZE), 8, dma.rx_buf(k))
+            self.space.store(with_cursor(dma_root, dma.rx_ring + k * DESC_SIZE + 8), 8, 0)
 
         reg(REG_TCTL, TCTL_EN)
         reg(REG_RCTL, RCTL_EN)
@@ -217,10 +289,6 @@ class Kernel:
             nic=nic, bar_base=bar_base,
             bar_manifest=bar_manifest, dma_manifest=dma_manifest,
             mmio_root=mmio_root, dma_root=dma_root, dma=dma)
-
-    @staticmethod
-    def _dma_at(root: Capability, addr: int) -> Capability:
-        return with_cursor(root, addr)
 
     def device(self, name: str) -> DeviceState:
         try:
@@ -301,44 +369,42 @@ class Kernel:
         if not (dev.dma.bufs_base <= buf.base and buf.top <= dev.dma.bufs_end):
             raise ApiError(ErrCode.DENIED, "buffer outside the DMA buffer region")
         ring = dev.dma.tx_ring if queue == "tx" else dev.dma.rx_ring
-        self.space.store(self._dma_at(dev.dma_root, ring + index * DESC_SIZE), 8, buf.base)
+        self.space.store(with_cursor(dev.dma_root, ring + index * DESC_SIZE), 8, buf.base)
 
     # -- mediated (socket-style) path; the baseline, not token-gated ---------
 
     def _charge_syscall_pair(self) -> None:
         self.space.advance(2 * self.space.costs.syscall_ns)
 
+    def _charge_copy(self, count: int) -> None:
+        self.space.advance(self.space.costs.copy_per_byte_ns * count)
+
+    def _rings(self, device: str) -> Rings:
+        # Built by the first socket call, so that bring-up does none of this work.
+        dev = self.device(device)
+        if dev.rings is None:
+            dma, root, ks = dev.dma, dev.dma_root, range(RING_SIZE)
+            dev.rings = Rings(
+                self.space,
+                [with_cursor(root, dma.tx_ring + k * DESC_SIZE + 8) for k in ks],
+                [with_cursor(root, dma.tx_buf(k)) for k in ks],
+                [with_cursor(root, dma.rx_ring + k * DESC_SIZE + 8) for k in ks],
+                [with_cursor(root, dma.rx_buf(k)) for k in ks],
+                with_cursor(dev.mmio_root, dev.bar_base + REG_TDT),
+                with_cursor(dev.mmio_root, dev.bar_base + REG_RDT))
+        return dev.rings
+
     def socket_send(self, device: str, frame: bytes) -> None:
         """Kernel-mediated transmit: two ring crossings plus one extra
-        user-to-kernel payload copy, then the same ring work the bypass
-        driver does, performed with the kernel roots."""
+        user-to-kernel payload copy, then the same ring engine the bypass
+        driver runs, over the kernel roots."""
         self.invocations += 1
-        dev = self.device(device)
-        if len(frame) > BUF_SIZE:
+        rings = self._rings(device)
+        if len(frame) > BUF_SIZE:  # refused at entry, before any charge
             raise ApiError(ErrCode.BAD_ARGUMENT, f"frame of {len(frame)} bytes")
         self._charge_syscall_pair()
-        self.space.advance(self.space.costs.copy_per_byte_ns * len(frame))
-
-        while dev.tx_inflight > 0:
-            desc = dev.dma.tx_ring + dev.tx_oldest * DESC_SIZE
-            status = self.space.load(self._dma_at(dev.dma_root, desc + 12), 1)
-            if not status & DESC_DD:
-                break
-            dev.tx_inflight -= 1
-            dev.tx_oldest = (dev.tx_oldest + 1) % RING_SIZE
-        if dev.tx_inflight == RING_SIZE:
-            raise ApiError(ErrCode.BUSY, "transmit ring full")
-
-        k = dev.tx_tail
-        desc = dev.dma.tx_ring + k * DESC_SIZE
-        self.space.store_bytes(self._dma_at(dev.dma_root, dev.dma.tx_buf(k)), frame)
-        self.space.store(self._dma_at(dev.dma_root, desc + 8), 2, len(frame))
-        self.space.store(self._dma_at(dev.dma_root, desc + 12), 1, 0)
-        self.space.store(self._dma_at(dev.dma_root, desc + 11), 1,
-                         TX_CMD_EOP | TX_CMD_IFCS | TX_CMD_RS)
-        dev.tx_inflight += 1
-        dev.tx_tail = (k + 1) % RING_SIZE
-        self.space.store(with_cursor(dev.mmio_root, dev.bar_base + REG_TDT), 4, dev.tx_tail)
+        self._charge_copy(len(frame))
+        rings.send(frame)
 
     def socket_recv(self, device: str) -> list[bytes]:
         """Kernel-mediated receive: drain completed RX descriptors.
@@ -349,25 +415,7 @@ class Kernel:
         found nothing.
         """
         self.invocations += 1
-        dev = self.device(device)
-        frames: list[bytes] = []
-        while True:
-            desc = dev.dma.rx_ring + dev.rx_head * DESC_SIZE
-            status = self.space.load(self._dma_at(dev.dma_root, desc + 12), 1)
-            if not status & DESC_DD:
-                if not frames:
-                    self._charge_syscall_pair()
-                break
+        frames = self._rings(device).recv(self._charge_syscall_pair, self._charge_copy)
+        if not frames:
             self._charge_syscall_pair()
-            length = self.space.load(self._dma_at(dev.dma_root, desc + 8), 2)
-            data = self.space.load_bytes(
-                self._dma_at(dev.dma_root, dev.dma.rx_buf(dev.rx_head)), length)
-            self.space.advance(self.space.costs.copy_per_byte_ns * length)  # kernel->user
-            self.space.store(self._dma_at(dev.dma_root, desc + 12), 1, status & ~DESC_DD)
-            frames.append(data)
-            dev.rx_head = (dev.rx_head + 1) % RING_SIZE
-            dev.rx_tail = (dev.rx_tail + 1) % RING_SIZE
-        if frames:
-            self.space.store(with_cursor(dev.mmio_root, dev.bar_base + REG_RDT), 4,
-                             dev.rx_tail)
         return frames

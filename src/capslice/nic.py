@@ -43,6 +43,7 @@ TCTL_EN = 0x02
 RCTL_EN = 0x02
 
 DESC_SIZE = 16
+BUF_SIZE = 2048       # bytes per descriptor buffer; longer frames are refused
 DESC_DD = 0x01        # descriptor done, set by device only
 DESC_ERR = 0x02       # model's error mark for unusable TX descriptors
 
@@ -113,11 +114,9 @@ class NicCounters:
 class NicModel:
     """One e1000e-flavored device instance, registered as an MMIO region."""
 
-    def __init__(self, name: str = "e1000e", mac: bytes = b"\x02\x00\x00\x00\x00\x01",
-                 buf_size: int = 2048):
+    def __init__(self, name: str = "e1000e", mac: bytes = b"\x02\x00\x00\x00\x00\x01"):
         self.name = name
         self.mac = mac
-        self.buf_size = buf_size
         self.regs: dict[int, int] = {off: 0 for off in _WRITABLE}
         self.regs[REG_IMS] = 0
         self.counters = NicCounters()
@@ -193,7 +192,7 @@ class NicModel:
             addr = int.from_bytes(raw[0:8], "little")
             length = int.from_bytes(raw[8:10], "little")
             status = raw[12]
-            if length == 0 or length > self.buf_size:
+            if length == 0 or length > BUF_SIZE:
                 status |= DESC_DD | DESC_ERR  # unusable; skip but complete it
             else:
                 frame = space.dma_read(addr, length)
@@ -214,7 +213,7 @@ class NicModel:
         Runs at frame arrival time and charges no CPU clock; the device
         works in parallel with the processors.
         """
-        if len(frame) > self.buf_size:
+        if len(frame) > BUF_SIZE:
             self.counters.rx_dropped += 1
             return False
         if not (self.regs[REG_RCTL] & RCTL_EN):

@@ -124,3 +124,21 @@ def test_unreadable_manifest_exits_1(tmp_path, capsys, monkeypatch):
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}")
     assert not (tmp_path / "out").exists()
+
+
+def test_manifest_that_does_not_fit_the_device_exits_1(tmp_path, capsys):
+    # Both parse, but the DMA layout is not a register map and vice versa.
+    cases = [
+        (["sweep", "--trials", "1", "--sizes", "1", "--delays", "0",
+          "--dma-manifest", str(DATA / "e1000e.manifest")], "DMA manifest covers 0x20000"),
+        (["audit", "--manifest", str(DATA / "e1000e-dma.manifest")],
+         "BAR manifest covers 0x42000"),
+    ]
+    for argv, detail in cases:
+        out = tmp_path / argv[0]
+        assert main([*argv, "--out", str(out)]) == 1, argv
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: bad argument:"), argv
+        assert detail in lines[0] and "Traceback" not in captured.err, argv
+        assert not out.exists(), argv

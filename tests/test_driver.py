@@ -77,14 +77,17 @@ def test_poll_recv_idle_makes_no_mmio_writes():
     assert sut.nic.counters.mmio_writes == writes
 
 
-def test_shadow_tail_matches_device_register():
-    sut, peer, link = pair()
+@pytest.mark.parametrize("mode", ["bypass", "mediated"])
+def test_shadow_tail_matches_device_register(mode):
+    sut, peer, link = pair(mode)
+    send = sut.driver.send if mode == "bypass" else sut.driver.mediated_send
     frame = encode_udp(SUT_ENDPOINT, PEER_ENDPOINT, b"abc")
     for _ in range(5):
-        sut.driver.send(frame)
+        send(frame)
     dev = sut.kernel.device("e1000e")
+    rings = sut.driver.rings if mode == "bypass" else dev.rings
     tdt = sut.space.load(with_cursor(dev.mmio_root, dev.bar_base + REG_TDT), 4)
-    assert tdt == sut.driver.tx_tail_shadow == 5
+    assert tdt == rings.tx_tail == 5
 
 
 def test_ring_wraparound_end_to_end():
