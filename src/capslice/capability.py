@@ -40,7 +40,6 @@ class Perm(IntFlag):
 
 PERM_NONE = Perm(0)
 PERM_RW = Perm.READ | Perm.WRITE
-PERM_ALL = Perm.READ | Perm.WRITE | Perm.LOAD_CAP | Perm.STORE_CAP | Perm.SEAL | Perm.UNSEAL
 
 # The same bits as plain ints for hot-path `need` arguments; int `&` skips
 # IntFlag's Python-level operators.

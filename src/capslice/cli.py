@@ -114,15 +114,21 @@ def _read_manifests(*paths: Path | None) -> list[Manifest | None] | None:
     return manifests
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    read = _read_manifests(args.manifest)
+def _read_valid_manifest(path: Path) -> Manifest | None:
+    """Parse and validate one manifest. On any problem, print it and return
+    None."""
+    read = _read_manifests(path)
     if read is None:
-        return 1
-    m = read[0]
-    violations = validate(m)
-    if violations:
-        for v in violations:
-            print(f"violation: {v}")
+        return None
+    violations = validate(read[0])
+    for v in violations:
+        print(f"violation: {v}")
+    return None if violations else read[0]
+
+
+def cmd_validate(args: argparse.Namespace) -> int:
+    m = _read_valid_manifest(args.manifest)
+    if m is None:
         return 1
     ranges = len(expand(m))
     print(f"{args.manifest}: ok ({len(m.entries)} entries, {ranges} userspace ranges)")
@@ -130,14 +136,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_slice_dump(args: argparse.Namespace) -> int:
-    read = _read_manifests(args.manifest)
-    if read is None:
-        return 1
-    m = read[0]
-    violations = validate(m)
-    if violations:
-        for v in violations:
-            print(f"violation: {v}")
+    m = _read_valid_manifest(args.manifest)
+    if m is None:
         return 1
     table = harness.slice_standalone(m)
     for name, cap in table:

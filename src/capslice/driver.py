@@ -22,10 +22,9 @@ from .slicer import SliceTable
 
 class Driver:
     def __init__(self, space: PhysSpace, table: Optional[SliceTable] = None,
-                 kernel: Optional[Kernel] = None, device: str = "e1000e"):
+                 kernel: Optional[Kernel] = None):
         self.space = space
         self.kernel = kernel
-        self.device = device
         self.rings: Optional[Rings] = None
 
         if table is not None:
@@ -49,7 +48,7 @@ class Driver:
     # -- kernel-mediated path ---------------------------------------------------
 
     def mediated_send(self, frame: bytes) -> None:
-        self.kernel.socket_send(self.device, frame)
+        self.kernel.socket_send("e1000e", frame)
 
     def mediated_recv(self) -> list[bytes]:
-        return self.kernel.socket_recv(self.device)
+        return self.kernel.socket_recv("e1000e")

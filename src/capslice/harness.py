@@ -75,13 +75,13 @@ def build_machine(name: str, mode: str, endpoint: UdpEndpoint,
 
     space, authority = PhysSpace.create(SPACE_SIZE, costs or AccessCostTable())
     space.add_region(RAM_BASE, RAM_LENGTH, name="ram")
-    nic = NicModel(name=f"{name}-nic", mac=endpoint.mac)
+    nic = NicModel()
     space.add_region(BAR_BASE, BAR_LENGTH, device=nic, name="bar")
     if link is not None:
         nic.connect(link)
 
     kernel = Kernel(space, authority, RAM_BASE, RAM_LENGTH)
-    kernel.stub_attach("e1000e", nic, BAR_BASE, bar_manifest, dma_manifest)
+    kernel.stub_attach("e1000e", BAR_BASE, bar_manifest, dma_manifest)
 
     token = None
     table = None
@@ -127,7 +127,6 @@ class EchoServer:
         self.machine = machine
         self.loop = loop
         self._scheduled = False
-        self.echoed = 0
         d = machine.driver
         self._recv, self._send = ((d.poll_recv, d.send) if machine.mode == MODE_BYPASS
                                   else (d.mediated_recv, d.mediated_send))
@@ -145,7 +144,6 @@ class EchoServer:
             if reply is None:
                 continue
             self._send(reply)
-            self.echoed += 1
 
 
 class LoadGenerator:

@@ -32,13 +32,13 @@ from .capability import (
     unseal,
     with_cursor,
 )
-from .manifest import Manifest
+from .manifest import Manifest, PermClass, Repeat, SliceEntry, expand
 from .nic import (
     BAR_LENGTH,
     BUF_SIZE,
     DESC_DD,
     DESC_SIZE,
-    NicModel,
+    PRIVILEGED,
     RCTL_EN,
     REG_RCTL,
     REG_RDBAH,
@@ -63,13 +63,22 @@ _INTERFACE_AUTHORITY = make_otype_authority(slicer.INTERFACE_OTYPE)
 
 RING_SIZE = 64
 
-# Fixed layout of one device's DMA region. The shipped DMA manifest
-# mirrors these offsets; test_kernel checks they agree.
+# Fixed layout of one device's DMA region.
 DMA_TX_RING = 0x0000
 DMA_RX_RING = 0x1000
 DMA_TX_BUFS = 0x2000
 DMA_RX_BUFS = DMA_TX_BUFS + RING_SIZE * BUF_SIZE
 DMA_LENGTH = DMA_RX_BUFS + RING_SIZE * BUF_SIZE  # 0x42000
+
+# The userspace entries a DMA manifest must have, and no others: each
+# descriptor's bytes 8..15 (never its address word) and one slice per buffer.
+DMA_USER_ENTRIES = frozenset(
+    SliceEntry(name, offset, size, PermClass.RW, Repeat(RING_SIZE, stride))
+    for name, offset, size, stride in (
+        ("TXD_META", DMA_TX_RING + 8, 8, DESC_SIZE),
+        ("RXD_META", DMA_RX_RING + 8, 8, DESC_SIZE),
+        ("TXBUF", DMA_TX_BUFS, BUF_SIZE, BUF_SIZE),
+        ("RXBUF", DMA_RX_BUFS, BUF_SIZE, BUF_SIZE)))
 
 
 class ErrCode(Enum):
@@ -190,13 +199,11 @@ class Rings:
 class AttachRecord:
     process_id: int
     device: str
-    record_addr: int
     mapped: bool = False
 
 
 @dataclass
 class DeviceState:
-    nic: NicModel
     bar_base: int
     bar_manifest: Manifest
     dma_manifest: Manifest
@@ -237,10 +244,14 @@ class Kernel:
 
     # -- stub: probe/attach ------------------------------------------------
 
-    def stub_attach(self, name: str, nic: NicModel, bar_base: int,
+    def stub_attach(self, name: str, bar_base: int,
                     bar_manifest: Manifest, dma_manifest: Manifest) -> None:
         """Bring the device up: allocate DMA memory, program and preload the
-        rings, enable TX/RX, and register the manifests with the interface."""
+        rings, enable TX/RX, and register the manifests with the interface.
+
+        A manifest that would hand userspace a kernel-only register byte or a
+        descriptor address word, or that does not match the DMA layout, is
+        refused before anything is issued."""
         if name in self._devices:
             raise ApiError(ErrCode.BUSY, f"{name} already attached")
         if bar_manifest.bar_length > BAR_LENGTH:
@@ -251,6 +262,17 @@ class Kernel:
             raise ApiError(ErrCode.BAD_ARGUMENT,
                            f"DMA manifest covers {dma_manifest.bar_length:#x},"
                            f" layout needs {DMA_LENGTH:#x}")
+        for r in expand(bar_manifest):
+            for off in PRIVILEGED:
+                if r.offset < off + 4 and off < r.offset + r.size:
+                    raise ApiError(ErrCode.BAD_ARGUMENT,
+                                   f"BAR manifest grants {r.name}, which covers the"
+                                   f" kernel-only register at {off:#x}")
+        user = {e for e in dma_manifest.entries if e.perm is not PermClass.KERNEL}
+        if user != DMA_USER_ENTRIES:
+            names = sorted({e.name for e in user ^ DMA_USER_ENTRIES})
+            raise ApiError(ErrCode.BAD_ARGUMENT,
+                           f"DMA manifest entries {', '.join(names)} do not match the DMA layout")
 
         mmio_root = self._authority.issue_root(bar_base, bar_manifest.bar_length, PERM_RW)
         dma_base = self._alloc(DMA_LENGTH, align=16)
@@ -286,7 +308,7 @@ class Kernel:
 
         self._device_ids[name] = len(self._device_ids) + 1
         self._devices[name] = DeviceState(
-            nic=nic, bar_base=bar_base,
+            bar_base=bar_base,
             bar_manifest=bar_manifest, dma_manifest=dma_manifest,
             mmio_root=mmio_root, dma_root=dma_root, dma=dma)
 
@@ -308,7 +330,7 @@ class Kernel:
         self.space.store(self._priv_at(rec_addr + 8), 8, self._device_ids[device])
         record_cap = restrict_perms(
             derive_bounds(self._priv_root, rec_addr, 16), Perm.READ)
-        self._records[rec_addr] = AttachRecord(process_id, device, rec_addr)
+        self._records[rec_addr] = AttachRecord(process_id, device)
         return seal(record_cap, _INTERFACE_AUTHORITY)
 
     def _verify_token(self, token: Capability) -> AttachRecord:

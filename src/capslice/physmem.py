@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import Optional, Protocol
 
 from .capability import (
     LOAD_CAP_MASK,
@@ -84,9 +84,6 @@ class PhysSpace:
         # Full capability values per tagged granule; exact bounds do not
         # fit in 16 bytes, so the granule bytes carry only cursor+base.
         self._cap_shadow: dict[int, Capability] = {}
-        # Optional instrumentation: called as (cursor, width, need, fault_kind|None)
-        # after every checked data access; `need` is an int permission mask.
-        self.access_recorder: Optional[Callable[[int, int, int, Optional[FaultKind]], None]] = None
 
     @classmethod
     def create(cls, size: int, costs: Optional[AccessCostTable] = None
@@ -143,26 +140,12 @@ class PhysSpace:
         end = (addr + width - 1) // GRANULE + 1
         self.tags[first:end] = bytes(end - first)
 
-    def tagged_granules(self) -> int:
-        return sum(self.tags)
-
     # -- checked data access ----------------------------------------------
-
-    def _checked(self, cap: Capability, width: int, need: int) -> None:
-        recorder = self.access_recorder
-        try:
-            check_access(cap, width, need)
-        except CapFault as fault:
-            if recorder is not None:
-                recorder(cap.cursor, width, need, fault.kind)
-            raise
-        if recorder is not None:
-            recorder(cap.cursor, width, need, None)
 
     def load(self, cap: Capability, width: int) -> int:
         if width not in DATA_WIDTHS:
             raise CapFault(FaultKind.ALIGNMENT_FAULT, cap.cursor, f"bad access width {width}")
-        self._checked(cap, width, READ_MASK)
+        check_access(cap, width, READ_MASK)
         cursor = cap.cursor
         region = self.region_for(cursor, width)
         device = region.device
@@ -175,7 +158,7 @@ class PhysSpace:
     def store(self, cap: Capability, width: int, value: int) -> None:
         if width not in DATA_WIDTHS:
             raise CapFault(FaultKind.ALIGNMENT_FAULT, cap.cursor, f"bad access width {width}")
-        self._checked(cap, width, WRITE_MASK)
+        check_access(cap, width, WRITE_MASK)
         cursor = cap.cursor
         region = self.region_for(cursor, width)
         device = region.device
@@ -190,7 +173,7 @@ class PhysSpace:
     # -- bulk data copies (RAM only) ----------------------------------------
 
     def load_bytes(self, cap: Capability, count: int) -> bytes:
-        self._checked(cap, count, READ_MASK)
+        check_access(cap, count, READ_MASK)
         region = self.region_for(cap.cursor, max(count, 1))
         if not region.is_ram:
             raise ValueError("bulk loads are RAM-only")
@@ -199,7 +182,7 @@ class PhysSpace:
 
     def store_bytes(self, cap: Capability, payload: bytes) -> None:
         count = len(payload)
-        self._checked(cap, count, WRITE_MASK)
+        check_access(cap, count, WRITE_MASK)
         region = self.region_for(cap.cursor, max(count, 1))
         if not region.is_ram:
             raise ValueError("bulk stores are RAM-only")
@@ -214,7 +197,7 @@ class PhysSpace:
         if cap.cursor % GRANULE != 0:
             raise CapFault(FaultKind.ALIGNMENT_FAULT, cap.cursor,
                            "capability store needs 16-byte alignment")
-        self._checked(cap, GRANULE, STORE_CAP_MASK)
+        check_access(cap, GRANULE, STORE_CAP_MASK)
         region = self.region_for(cap.cursor, GRANULE)
         if not region.is_ram:
             raise ValueError("capability stores are RAM-only")
@@ -229,7 +212,7 @@ class PhysSpace:
         if cap.cursor % GRANULE != 0:
             raise CapFault(FaultKind.ALIGNMENT_FAULT, cap.cursor,
                            "capability load needs 16-byte alignment")
-        self._checked(cap, GRANULE, LOAD_CAP_MASK)
+        check_access(cap, GRANULE, LOAD_CAP_MASK)
         region = self.region_for(cap.cursor, GRANULE)
         if not region.is_ram:
             raise ValueError("capability loads are RAM-only")

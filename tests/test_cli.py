@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 from capslice.cli import main
@@ -142,3 +143,28 @@ def test_manifest_that_does_not_fit_the_device_exits_1(tmp_path, capsys):
         assert len(lines) == 1 and lines[0].startswith("error: bad argument:"), argv
         assert detail in lines[0] and "Traceback" not in captured.err, argv
         assert not out.exists(), argv
+
+
+def test_manifest_that_grants_kernel_bytes_exits_1(tmp_path, capsys):
+    # Each manifest is sound in shape, but hands userspace a privileged
+    # register, a descriptor address word, or a layout without TX buffers.
+    cases = [
+        ("--manifest", "e1000e.manifest", r"^(reg TDBAL .*)KERNEL", r"\1RW", "TDBAL"),
+        ("--dma-manifest", "e1000e-dma.manifest", r"^(reg TXD_ADDR .*)KERNEL", r"\1RW",
+         "TXD_ADDR"),
+        ("--dma-manifest", "e1000e-dma.manifest", r"^reg TXBUF .*\n", "", "TXBUF"),
+    ]
+    for flag, name, pattern, repl, detail in cases:
+        text, n = re.subn(pattern, repl, (DATA / name).read_text(), flags=re.M)
+        assert n == 1, pattern
+        path = tmp_path / f"{detail}.manifest"
+        path.write_text(text)
+        for cmd in (["sweep", "--trials", "1", "--sizes", "1", "--delays", "0"], ["audit"]):
+            out = tmp_path / "out"
+            argv = [*cmd, flag, str(path), "--out", str(out)]
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: bad argument:"), argv
+            assert detail in lines[0] and "Traceback" not in captured.err, argv
+            assert not out.exists(), argv

@@ -15,6 +15,7 @@ from capslice.harness import (
     run_isolation_suite,
     run_sweep,
 )
+from capslice.kernel import ApiError, ErrCode
 from capslice.manifest import parse
 from capslice.netstack import DecodeError, Reject
 from capslice.physmem import AccessCostTable
@@ -126,18 +127,16 @@ def test_isolation_suite_passes_on_shipped_policy():
 
 
 def test_isolation_suite_catches_bad_policy():
-    # a manifest that leaks the interrupt mask must fail the audit scenario
+    # a manifest that leaks the interrupt mask is refused at attach, before
+    # any scenario could run on it
     leaky = parse(
         "device e1000e\nbar 0x20000\n"
         "reg CTRL 0x0000 4 RW\nreg STATUS 0x0008 4 RO\n"
         "reg IMS 0x00D0 4 RW\n"  # should be KERNEL
         "reg RDT 0x2818 4 RW\nreg TDT 0x3818 4 RW\n")
-    report = run_isolation_suite(bar_manifest=leaky)
-    details = {s.name: s for s in report.scenarios}
-    assert not details["ims-not-sliced"].passed
-    # reachability still matches the (leaky) manifest oracle: the audit
-    # reports what the policy grants, the ims scenario catches the leak
-    assert details["exhaustive-audit"].passed
+    with pytest.raises(ApiError) as err:
+        run_isolation_suite(bar_manifest=leaky)
+    assert err.value.code is ErrCode.BAD_ARGUMENT and "IMS" in str(err.value)
 
 
 def test_oracle_respects_length_argument():

@@ -1,6 +1,8 @@
 import random
+from dataclasses import replace
 
 import pytest
+from conftest import capture
 
 from capslice import slicer
 from capslice.capability import (
@@ -23,7 +25,17 @@ from capslice.kernel import (
     ErrCode,
     RING_SIZE,
 )
-from capslice.nic import FrameLink, REG_RDT, REG_STATUS, REG_TCTL, REG_TDH, REG_TDT, STATUS_LU
+from capslice.manifest import PermClass
+from capslice.nic import (
+    PRIVILEGED,
+    FrameLink,
+    REG_RDT,
+    REG_STATUS,
+    REG_TCTL,
+    REG_TDH,
+    REG_TDT,
+    STATUS_LU,
+)
 
 
 def rig(mode="bypass"):
@@ -67,9 +79,24 @@ def test_stub_initial_ring_registers():
 def test_double_attach_is_error():
     m, dev = rig()
     with pytest.raises(ApiError) as err:
-        m.kernel.stub_attach("e1000e", m.nic, BAR_BASE,
-                             dev.bar_manifest, dev.dma_manifest)
+        m.kernel.stub_attach("e1000e", BAR_BASE, dev.bar_manifest, dev.dma_manifest)
     assert err.value.code is ErrCode.BUSY
+
+
+def test_stub_refuses_any_grant_of_a_privileged_register():
+    m, dev = rig()
+    shipped = dev.bar_manifest
+    kernel_only = [e for e in shipped.entries if e.perm is PermClass.KERNEL]
+    assert sorted(e.offset for e in kernel_only) == sorted(PRIVILEGED)
+    for e in kernel_only:
+        for perm in (PermClass.RO, PermClass.RW):
+            entries = tuple(replace(x, perm=perm) if x is e else x for x in shipped.entries)
+            with pytest.raises(ApiError) as err:
+                m.kernel.stub_attach("probe", BAR_BASE, replace(shipped, entries=entries),
+                                     dev.dma_manifest)
+            assert err.value.code is ErrCode.BAD_ARGUMENT and e.name in str(err.value)
+    with pytest.raises(ApiError):
+        m.kernel.device("probe")
 
 
 # -- attach tokens ---------------------------------------------------------------
@@ -269,9 +296,10 @@ def test_socket_path_echoes_bytes():
     link = FrameLink(delay_ns=10.0, wire_ns_per_byte=0.0)
     a = build_machine("a", "mediated", SUT_ENDPOINT, link=link)
     b = build_machine("b", "mediated", SUT_ENDPOINT, link=link)
+    got = capture(link)
     frame = bytes(range(64))
     a.kernel.socket_send("e1000e", frame)
-    for f in link.pop_due(1, now=1e9):
+    for _, f in got[1]:
         b.nic.deliver_frame(b.space, f)
     assert b.kernel.socket_recv("e1000e") == [frame]
     assert b.kernel.socket_recv("e1000e") == []

@@ -9,7 +9,6 @@ from capslice.manifest import (
     Repeat,
     expand,
     parse,
-    print_manifest,
     validate,
 )
 
@@ -107,6 +106,12 @@ def test_validate_repeat_expansion_overlaps():
     assert any("A[1]" in v and "B" in v for v in validate(m))
 
 
+def test_validate_repeat_outside_bar_is_one_violation():
+    # checked before expansion: a million-instance entry costs one line
+    m = parse("device x\nbar 0x1000\nreg A 0x0 4 RW repeat=1000000 stride=0x4\n")
+    assert validate(m) == ["A: range [0x0,0x3d0900) outside bar [0,0x1000)"]
+
+
 def test_validate_returns_every_violation():
     m = parse("device x\nbar 0x10\nreg A 0x0 8 RW\nreg B 0x4 4 RW\nreg C 0x20 4 RW\n")
     violations = validate(m)
@@ -137,12 +142,6 @@ def test_expand_repeat_one_equals_plain_entry():
 def test_expand_is_deterministic():
     text = "device x\nbar 0x1000\nreg A 0x0 8 RW repeat=8 stride=0x20\nreg B 0x10 4 RO\n"
     assert expand(parse(text)) == expand(parse(text))
-
-
-def test_print_parse_roundtrip():
-    m = parse("device x\nbar 0x1000\nreg A 0x0 8 RW repeat=8 stride=0x20\n"
-              "reg B 0x10 4 RO\nreg C 0x200 16 KERNEL\n")
-    assert parse(print_manifest(m)) == m
 
 
 # -- shipped files ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import capture
 
 from capslice import nic as nicmod
 from capslice.capability import PERM_RW, with_cursor
@@ -25,7 +26,7 @@ def rig():
     link = FrameLink(delay_ns=100.0, wire_ns_per_byte=0.0)
     m = build_machine("dev", "bypass", SUT_ENDPOINT, link=link)
     dev = m.kernel.device("e1000e")
-    return m, dev, link
+    return m, dev, capture(link)
 
 
 def wr_desc(m, dev, ring_addr, index, buf_addr, length, status=0):
@@ -47,13 +48,13 @@ def mmio(m, dev, offset, value=None):
 
 
 def test_tdt_write_emits_frame_and_sets_dd():
-    m, dev, link = rig()
+    m, dev, got = rig()
     payload = bytes(range(60))
     m.space.dma_write(dev.dma.tx_buf(0), payload)
     wr_desc(m, dev, dev.dma.tx_ring, 0, dev.dma.tx_buf(0), len(payload))
     mmio(m, dev, REG_TDT, 1)
     assert m.nic.counters.tx_frames == 1
-    assert link.pop_due(1, now=1e12) == [payload]
+    assert [f for _, f in got[1]] == [payload]
     assert rd_status(m, dev.dma.tx_ring, 0) & DESC_DD
     assert mmio(m, dev, REG_TDH) == 1
 
@@ -87,45 +88,45 @@ def test_ims_write_ors_bits():
 
 
 def test_process_tx_three_ready_descriptors():
-    m, dev, link = rig()
+    m, dev, got = rig()
     for k in range(3):
         m.space.dma_write(dev.dma.tx_buf(k), bytes([k]) * 32)
         wr_desc(m, dev, dev.dma.tx_ring, k, dev.dma.tx_buf(k), 32)
     mmio(m, dev, REG_TDT, 3)
     assert m.nic.counters.tx_frames == 3
     assert mmio(m, dev, REG_TDH) == 3
-    assert [f[0] for f in link.pop_due(1, 1e12)] == [0, 1, 2]
+    assert [f[0] for _, f in got[1]] == [0, 1, 2]
 
 
 def test_process_tx_empty_ring_is_noop():
-    m, dev, link = rig()
+    m, dev, got = rig()
     frames_before = m.nic.counters.tx_frames
     m.nic.process_tx(m.space)
     assert m.nic.counters.tx_frames == frames_before
-    assert link.pending(1) == 0
+    assert got[1] == []
 
 
 def test_process_tx_wraparound():
     # expected service order for head=63, tail=1 is [63, 0]: modular walk
     expected = [(63 + i) % 64 for i in range((1 - 63) % 64)]
     assert expected == [63, 0]
-    m, dev, link = rig()
+    m, dev, got = rig()
     m.nic.regs[REG_TDH] = 63
     for k in (63, 0):
         m.space.dma_write(dev.dma.tx_buf(k), bytes([k]) * 16)
         wr_desc(m, dev, dev.dma.tx_ring, k, dev.dma.tx_buf(k), 16)
     mmio(m, dev, REG_TDT, 1)
-    assert [f[0] for f in link.pop_due(1, 1e12)] == [63, 0]
+    assert [f[0] for _, f in got[1]] == [63, 0]
     assert mmio(m, dev, REG_TDH) == 1
 
 
 def test_bad_length_descriptor_skipped_with_error():
-    m, dev, link = rig()
+    m, dev, got = rig()
     wr_desc(m, dev, dev.dma.tx_ring, 0, dev.dma.tx_buf(0), 0)        # zero length
     wr_desc(m, dev, dev.dma.tx_ring, 1, dev.dma.tx_buf(1), 4000)    # too long
     mmio(m, dev, REG_TDT, 2)
     assert m.nic.counters.tx_frames == 0
-    assert link.pending(1) == 0
+    assert got[1] == []
     for k in (0, 1):
         status = rd_status(m, dev.dma.tx_ring, k)
         assert status & DESC_DD and status & DESC_ERR
@@ -185,6 +186,7 @@ def test_frame_conservation_over_random_traffic():
     link = FrameLink(delay_ns=0.0, wire_ns_per_byte=0.0)
     a = build_machine("a", "bypass", SUT_ENDPOINT, link=link)
     b = build_machine("b", "bypass", SUT_ENDPOINT, link=link)
+    got = capture(link)
     rng = random.Random(99)
     dev_a = a.kernel.device("e1000e")
     sent = 0
@@ -197,9 +199,10 @@ def test_frame_conservation_over_random_traffic():
             mmio(a, dev_a, REG_TDT, (k + 1) % 64)
             sent += 1
         else:
-            for frame in link.pop_due(1, now=1e15):
+            for _, frame in got[1]:
                 b.nic.deliver_frame(b.space, frame)
-    for frame in link.pop_due(1, now=1e15):
+            got[1].clear()
+    for _, frame in got[1]:
         b.nic.deliver_frame(b.space, frame)
     assert a.nic.counters.tx_frames == sent
     assert sent == b.nic.counters.rx_frames + b.nic.counters.rx_dropped
@@ -207,11 +210,11 @@ def test_frame_conservation_over_random_traffic():
 
 def test_link_delay_and_serialization():
     link = FrameLink(delay_ns=1000.0, wire_ns_per_byte=8.0)
+    got = capture(link)
     src = link.attach()
     arrival = link.transmit(src, bytes(100), now=50.0)
     assert arrival == 50.0 + 1000.0 + 800.0
-    assert link.pop_due(1, now=arrival - 1) == []
-    assert link.pop_due(1, now=arrival) == [bytes(100)]
+    assert got == ([], [(arrival, bytes(100))])
 
 
 def test_link_rejects_jumbo_frames():
