@@ -9,7 +9,8 @@ tag (as the hardware does); illegal *dereference* raises :class:`CapFault`
 ``Capability.perms`` is a plain ``int`` mask. :class:`Perm` stays the type
 at the API edge (constructors, :func:`restrict_perms`, ``has``) and its
 values compare equal to the stored ints, so ``cap.perms == Perm.READ``
-holds; ``Perm`` is rebuilt only to format a ``repr`` or a fault message.
+holds; ``Perm`` is rebuilt only to format a ``repr`` or a fault message,
+and a fault formats its message only when the message is read.
 Hot callers pass the ``*_MASK`` ints below as ``need``. ``perfbench/``
 measures the speed of this core, and ``perfbench/fingerprint.py`` checks
 that the sweep's CSV bytes stay the same.
@@ -59,13 +60,54 @@ class FaultKind(Enum):
 
 
 class CapFault(Exception):
-    """Raised when a capability check fails at dereference/seal time."""
+    """Raised when a capability check fails at dereference/seal time.
 
-    def __init__(self, kind: FaultKind, address: int, detail: str):
-        super().__init__(f"{kind.name} at {address:#x}: {detail}")
-        self.kind = kind
-        self.address = address
-        self.detail = detail
+    Raise it as ``CapFault(kind, address, detail, *operands)``. `detail` is
+    the message text, or a module-level function that builds the text from
+    `operands`. The text is built only when ``str()``, ``repr()`` or
+    ``.detail`` reads it, so a fault that is caught and dropped (almost every
+    probe of an exhaustive audit) formats nothing. ``args`` holds exactly
+    those raw values, so a fault pickles to an equal one.
+    """
+
+    @property
+    def kind(self) -> FaultKind:
+        return self.args[0]
+
+    @property
+    def address(self) -> int:
+        return self.args[1]
+
+    @property
+    def detail(self) -> str:
+        detail, *operands = self.args[2:]
+        return detail if isinstance(detail, str) else detail(*operands)
+
+    def __str__(self) -> str:
+        return f"{self.kind.name} at {self.address:#x}: {self.detail}"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"
+
+
+# check_access's fault kinds and message builders, bound once so that a
+# fault costs no enum lookup and no formatting until its text is read.
+_TAG_INVALID = FaultKind.TAG_INVALID
+_SEAL_VIOLATION = FaultKind.SEAL_VIOLATION
+_PERMISSION_DENIED = FaultKind.PERMISSION_DENIED
+_BOUNDS_VIOLATION = FaultKind.BOUNDS_VIOLATION
+
+
+def _sealed_text(otype: int) -> str:
+    return f"sealed capability (otype {otype})"
+
+
+def _perm_text(need: int, have: int) -> str:
+    return f"need {Perm(need)!r}, have {Perm(have)!r}"
+
+
+def _bounds_text(cursor: int, width: int, base: int, length: int) -> str:
+    return f"access [{cursor:#x},{cursor + width:#x}) outside [{base:#x},{base + length:#x})"
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -202,18 +244,14 @@ def check_access(cap: Capability, width: int, need: int) -> None:
     """
     cursor = cap.cursor
     if not cap.tag:
-        raise CapFault(FaultKind.TAG_INVALID, cursor, "untagged capability")
+        raise CapFault(_TAG_INVALID, cursor, "untagged capability")
     if cap.otype != UNSEALED:
-        raise CapFault(FaultKind.SEAL_VIOLATION, cursor,
-                       f"sealed capability (otype {cap.otype})")
+        raise CapFault(_SEAL_VIOLATION, cursor, _sealed_text, cap.otype)
     if (cap.perms & need) != need:
-        raise CapFault(FaultKind.PERMISSION_DENIED, cursor,
-                       f"need {Perm(need)!r}, have {Perm(cap.perms)!r}")
+        raise CapFault(_PERMISSION_DENIED, cursor, _perm_text, need, cap.perms)
     base = cap.base
     if cursor < base or cursor + width > base + cap.length:
-        raise CapFault(FaultKind.BOUNDS_VIOLATION, cursor,
-                       f"access [{cursor:#x},{cursor + width:#x}) outside "
-                       f"[{base:#x},{base + cap.length:#x})")
+        raise CapFault(_BOUNDS_VIOLATION, cursor, _bounds_text, cursor, width, base, cap.length)
 
 
 def make_otype_authority(otype: int, perms: Perm = Perm.SEAL | Perm.UNSEAL) -> Capability:

@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Subcommands:
-    validate <manifest>      parse + validate, list every violation
+    validate <manifest>      parse + validate, list every violation; an
+                             e1000e or e1000e-dma manifest is also checked
+                             against the device (kernel-only registers,
+                             the DMA layout)
     slice-dump <manifest>    print the slice table the manifest carves
     audit                    run the isolation suite, write audit.txt
     sweep                    run the latency sweep, write results.csv
@@ -20,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .kernel import ApiError
+from .kernel import ApiError, device_truth_violations
 from .manifest import Manifest, ManifestError, expand, parse_file, validate
 from .netstack import MAX_PAYLOAD
 from .physmem import AccessCostTable
@@ -129,6 +132,17 @@ def _read_valid_manifest(path: Path) -> Manifest | None:
 def cmd_validate(args: argparse.Namespace) -> int:
     m = _read_valid_manifest(args.manifest)
     if m is None:
+        return 1
+    # A manifest written for the e1000e is also held to the device's truth.
+    if m.device_name == "e1000e":
+        problems = device_truth_violations(bar_manifest=m)
+    elif m.device_name == "e1000e-dma":
+        problems = device_truth_violations(dma_manifest=m)
+    else:
+        problems = []
+    for p in problems:
+        print(f"violation: {p}")
+    if problems:
         return 1
     ranges = len(expand(m))
     print(f"{args.manifest}: ok ({len(m.entries)} entries, {ranges} userspace ranges)")

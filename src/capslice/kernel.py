@@ -95,6 +95,11 @@ class ApiError(Exception):
     def __init__(self, code: ErrCode, detail: str = ""):
         super().__init__(f"{code.value}: {detail}" if detail else code.value)
         self.code = code
+        self.detail = detail
+
+    def __reduce__(self):
+        # `args` holds only the message; rebuild from the code and detail.
+        return type(self), (self.code, self.detail)
 
 
 @dataclass
@@ -195,6 +200,37 @@ class Rings:
         return frames
 
 
+def device_truth_violations(bar_manifest: Optional[Manifest] = None,
+                            dma_manifest: Optional[Manifest] = None) -> list[str]:
+    """Where a manifest disagrees with the e1000e device, one line each.
+
+    A BAR manifest must fit the BAR and grant no byte of a kernel-only
+    register (`nic.PRIVILEGED`). A DMA manifest must cover exactly the DMA
+    layout, and its non-`KERNEL` entries must be exactly `DMA_USER_ENTRIES`.
+    `stub_attach` refuses a manifest with any violation; `capslice validate`
+    lists them."""
+    problems: list[str] = []
+    if bar_manifest is not None:
+        if bar_manifest.bar_length > BAR_LENGTH:
+            problems.append(f"BAR manifest covers {bar_manifest.bar_length:#x},"
+                            f" the BAR is {BAR_LENGTH:#x}")
+        for r in expand(bar_manifest):
+            for off in PRIVILEGED:
+                if r.offset < off + 4 and off < r.offset + r.size:
+                    problems.append(f"BAR manifest grants {r.name}, which covers the"
+                                    f" kernel-only register at {off:#x}")
+    if dma_manifest is not None:
+        if dma_manifest.bar_length != DMA_LENGTH:
+            problems.append(f"DMA manifest covers {dma_manifest.bar_length:#x},"
+                            f" layout needs {DMA_LENGTH:#x}")
+        user = {e for e in dma_manifest.entries if e.perm is not PermClass.KERNEL}
+        if user != DMA_USER_ENTRIES:
+            names = sorted({e.name for e in user ^ DMA_USER_ENTRIES})
+            problems.append(f"DMA manifest entries {', '.join(names)}"
+                            " do not match the DMA layout")
+    return problems
+
+
 @dataclass
 class AttachRecord:
     process_id: int
@@ -254,25 +290,9 @@ class Kernel:
         refused before anything is issued."""
         if name in self._devices:
             raise ApiError(ErrCode.BUSY, f"{name} already attached")
-        if bar_manifest.bar_length > BAR_LENGTH:
-            raise ApiError(ErrCode.BAD_ARGUMENT,
-                           f"BAR manifest covers {bar_manifest.bar_length:#x},"
-                           f" the BAR is {BAR_LENGTH:#x}")
-        if dma_manifest.bar_length != DMA_LENGTH:
-            raise ApiError(ErrCode.BAD_ARGUMENT,
-                           f"DMA manifest covers {dma_manifest.bar_length:#x},"
-                           f" layout needs {DMA_LENGTH:#x}")
-        for r in expand(bar_manifest):
-            for off in PRIVILEGED:
-                if r.offset < off + 4 and off < r.offset + r.size:
-                    raise ApiError(ErrCode.BAD_ARGUMENT,
-                                   f"BAR manifest grants {r.name}, which covers the"
-                                   f" kernel-only register at {off:#x}")
-        user = {e for e in dma_manifest.entries if e.perm is not PermClass.KERNEL}
-        if user != DMA_USER_ENTRIES:
-            names = sorted({e.name for e in user ^ DMA_USER_ENTRIES})
-            raise ApiError(ErrCode.BAD_ARGUMENT,
-                           f"DMA manifest entries {', '.join(names)} do not match the DMA layout")
+        problems = device_truth_violations(bar_manifest, dma_manifest)
+        if problems:
+            raise ApiError(ErrCode.BAD_ARGUMENT, problems[0])
 
         mmio_root = self._authority.issue_root(bar_base, bar_manifest.bar_length, PERM_RW)
         dma_base = self._alloc(DMA_LENGTH, align=16)

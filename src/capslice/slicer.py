@@ -39,6 +39,7 @@ _AUTHORITY = make_otype_authority(SLICER_OTYPE)
 # Audit result bits, one byte per audited address.
 AUDIT_READ = 0x1
 AUDIT_WRITE = 0x2
+_AUDIT_NEEDS = ((READ_MASK, AUDIT_READ), (WRITE_MASK, AUDIT_WRITE))
 
 
 @dataclass(frozen=True)
@@ -138,17 +139,22 @@ def audit_reachability(table: SliceTable, bar_length: int,
     result = bytearray(bar_length)
 
     if exhaustive:
+        # Each (need, bit) stops at the first slice that grants it.
         for b in range(bar_length):
             addr = base + b
             bits = 0
-            if any(_grants(cap, addr, READ_MASK) for cap in caps):
-                bits |= AUDIT_READ
-            if any(_grants(cap, addr, WRITE_MASK) for cap in caps):
-                bits |= AUDIT_WRITE
+            for need, bit in _AUDIT_NEEDS:
+                for cap in caps:
+                    try:
+                        check_access(with_cursor(cap, addr), 1, need)
+                    except CapFault:
+                        continue
+                    bits |= bit
+                    break
             result[b] = bits
         return result
 
-    for need, bit in ((READ_MASK, AUDIT_READ), (WRITE_MASK, AUDIT_WRITE)):
+    for need, bit in _AUDIT_NEEDS:
         granter: list[Optional[Capability]] = [None] * bar_length
         for cap in caps:
             if not cap.tag or cap.sealed or not cap.has(need):

@@ -176,6 +176,7 @@ def test_criterion_5_dma_containment():
     token = m.token
     bufs = [m.table.by_name(f"TXBUF[{k}]") for k in range(RING_SIZE)]
     frame = encode_udp(SUT_ENDPOINT, PEER_ENDPOINT, b"containment")
+    inbound = encode_udp(PEER_ENDPOINT, SUT_ENDPOINT, b"inbound")
 
     def all_desc_addrs_contained() -> bool:
         for ring in (dev.dma.tx_ring, dev.dma.rx_ring):
@@ -195,6 +196,9 @@ def test_criterion_5_dma_containment():
             try:
                 if roll < 0.30:
                     m.driver.send(frame)
+                    # The peer's traffic lets poll_recv complete real RX
+                    # descriptors between the hostile events below.
+                    peer.driver.send(inbound)
                 elif roll < 0.45:
                     for _, f in got[0]:
                         m.nic.deliver_frame(m.space, f)
@@ -226,6 +230,7 @@ def test_criterion_5_dma_containment():
                 pass
             events += 1
             assert all_desc_addrs_contained(), f"escape after event {events}"
+    assert m.nic.counters.rx_frames > 0
     elapsed = time.monotonic() - started
     report(5, f"{sequences} sequences / {events} events, all {2 * RING_SIZE} "
               f"descriptor addresses contained, {elapsed:.2f}s")

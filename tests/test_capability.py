@@ -1,7 +1,9 @@
+import pickle
 import random
 
 import pytest
 
+from capslice import slicer
 from capslice.capability import (
     READ_MASK,
     WRITE_MASK,
@@ -20,6 +22,8 @@ from capslice.capability import (
     unseal,
     with_cursor,
 )
+from capslice.manifest import parse
+from capslice.physmem import PhysSpace
 
 
 def root(base=0x0, length=0x20000, perms=PERM_RW):
@@ -278,20 +282,97 @@ def test_repr_text_is_unchanged():
 
 
 def test_fault_texts_are_unchanged():
+    # check_access builds no text when it raises; str, repr and .detail
+    # build it when read. The strings were recorded on the implementation
+    # that formatted at raise time.
     cases = [
         (restrict_perms(derive_bounds(root(), 0x8, 4), Perm.READ), WRITE_MASK,
-         FaultKind.PERMISSION_DENIED,
-         "PERMISSION_DENIED at 0x8: need <Perm.WRITE: 2>, have <Perm.READ: 1>"),
-        (seal(root(), make_otype_authority(7)), READ_MASK, FaultKind.SEAL_VIOLATION,
-         "SEAL_VIOLATION at 0x0: sealed capability (otype 7)"),
+         FaultKind.PERMISSION_DENIED, 0x8,
+         "PERMISSION_DENIED at 0x8: need <Perm.WRITE: 2>, have <Perm.READ: 1>",
+         "CapFault('PERMISSION_DENIED at 0x8: need <Perm.WRITE: 2>, have <Perm.READ: 1>')",
+         "need <Perm.WRITE: 2>, have <Perm.READ: 1>"),
+        (restrict_perms(root(), Perm(0)), Perm.READ | Perm.WRITE,
+         FaultKind.PERMISSION_DENIED, 0x0,
+         "PERMISSION_DENIED at 0x0: need <Perm.READ|WRITE: 3>, have <Perm: 0>",
+         "CapFault('PERMISSION_DENIED at 0x0: need <Perm.READ|WRITE: 3>, have <Perm: 0>')",
+         "need <Perm.READ|WRITE: 3>, have <Perm: 0>"),
+        (seal(root(), make_otype_authority(7)), READ_MASK, FaultKind.SEAL_VIOLATION, 0x0,
+         "SEAL_VIOLATION at 0x0: sealed capability (otype 7)",
+         "CapFault('SEAL_VIOLATION at 0x0: sealed capability (otype 7)')",
+         "sealed capability (otype 7)"),
         (with_cursor(derive_bounds(root(), 0, 4), 0xD0), WRITE_MASK,
-         FaultKind.BOUNDS_VIOLATION,
-         "BOUNDS_VIOLATION at 0xd0: access [0xd0,0xd4) outside [0x0,0x4)"),
-        (null_capability(), READ_MASK, FaultKind.TAG_INVALID,
-         "TAG_INVALID at 0x0: untagged capability"),
+         FaultKind.BOUNDS_VIOLATION, 0xD0,
+         "BOUNDS_VIOLATION at 0xd0: access [0xd0,0xd4) outside [0x0,0x4)",
+         "CapFault('BOUNDS_VIOLATION at 0xd0: access [0xd0,0xd4) outside [0x0,0x4)')",
+         "access [0xd0,0xd4) outside [0x0,0x4)"),
+        (with_cursor(derive_bounds(root(), 0x100, 4), 0xFE), READ_MASK,
+         FaultKind.BOUNDS_VIOLATION, 0xFE,
+         "BOUNDS_VIOLATION at 0xfe: access [0xfe,0x102) outside [0x100,0x104)",
+         "CapFault('BOUNDS_VIOLATION at 0xfe: access [0xfe,0x102) outside [0x100,0x104)')",
+         "access [0xfe,0x102) outside [0x100,0x104)"),
+        (null_capability(), READ_MASK, FaultKind.TAG_INVALID, 0x0,
+         "TAG_INVALID at 0x0: untagged capability",
+         "CapFault('TAG_INVALID at 0x0: untagged capability')",
+         "untagged capability"),
     ]
-    for cap, need, kind, text in cases:
+    for cap, need, kind, address, text, rep, detail in cases:
         with pytest.raises(CapFault) as err:
             check_access(cap, 4, need)
         assert err.value.kind is kind
+        assert err.value.address == address
         assert str(err.value) == text
+        assert repr(err.value) == rep
+        assert err.value.detail == detail
+
+
+def test_other_raisers_fault_texts_are_unchanged():
+    # seal/unseal, slicer.slice and physmem's alignment checks raise
+    # plain-text faults; recorded like the cases above.
+    a7 = make_otype_authority(7)
+    space, authority = PhysSpace.create(0x100)
+    space.add_region(0, 0x100)
+    ram = authority.issue_root(0, 0x100, PERM_RW | Perm.LOAD_CAP)
+    cases = [
+        (lambda: seal(root(), make_otype_authority(7, Perm.UNSEAL)),
+         "PERMISSION_DENIED at 0x7: authority lacks SEAL"),
+        (lambda: seal(root(), with_cursor(a7, 8)),
+         "BOUNDS_VIOLATION at 0x8: otype outside authority bounds"),
+        (lambda: unseal(root(), a7), "SEAL_VIOLATION at 0x0: target is not sealed"),
+        (lambda: unseal(seal(root(), a7), make_otype_authority(8)),
+         "WRONG_OTYPE at 0x0: sealed with otype 7, authority selects 8"),
+        (lambda: slicer.slice(derive_bounds(root(), 0, 0x10), parse("device x\nbar 0x100\n")),
+         "BOUNDS_VIOLATION at 0x0: root covers 0x10 < bar 0x100"),
+        (lambda: space.load(ram, 3), "ALIGNMENT_FAULT at 0x0: bad access width 3"),
+        (lambda: space.cap_load(with_cursor(ram, 4)),
+         "ALIGNMENT_FAULT at 0x4: capability load needs 16-byte alignment"),
+    ]
+    for raise_it, text in cases:
+        with pytest.raises(CapFault) as err:
+            raise_it()
+        assert str(err.value) == text
+        assert repr(err.value) == f"CapFault({text!r})"
+        assert err.value.detail == text.split(": ", 1)[1]
+
+
+def test_faults_survive_pickling():
+    # Every kind check_access raises, plus a plain-text fault, round-trips
+    # with the same kind, address and text (a process pool pickles them).
+    raisers = [
+        lambda: check_access(null_capability(0x40), 1, READ_MASK),
+        lambda: check_access(seal(root(), make_otype_authority(7)), 1, READ_MASK),
+        lambda: check_access(restrict_perms(root(), Perm.READ), 2, WRITE_MASK),
+        lambda: check_access(with_cursor(derive_bounds(root(), 0x10, 4), 0x13), 2, READ_MASK),
+        lambda: unseal(root(), make_otype_authority(7)),
+    ]
+    kinds = []
+    for raise_it in raisers:
+        with pytest.raises(CapFault) as err:
+            raise_it()
+        fault = err.value
+        copy = pickle.loads(pickle.dumps(fault))
+        assert type(copy) is CapFault
+        assert copy.kind is fault.kind and copy.address == fault.address
+        assert (str(copy), repr(copy), copy.detail) == (str(fault), repr(fault), fault.detail)
+        kinds.append(fault.kind)
+    assert kinds[:4] == [FaultKind.TAG_INVALID, FaultKind.SEAL_VIOLATION,
+                         FaultKind.PERMISSION_DENIED, FaultKind.BOUNDS_VIOLATION]

@@ -168,3 +168,25 @@ def test_manifest_that_grants_kernel_bytes_exits_1(tmp_path, capsys):
             assert len(lines) == 1 and lines[0].startswith("error: bad argument:"), argv
             assert detail in lines[0] and "Traceback" not in captured.err, argv
             assert not out.exists(), argv
+
+
+def test_validate_checks_device_truth(tmp_path, capsys):
+    # Shape alone passes these; the e1000e device does not.
+    for name in ("e1000e.manifest", "e1000e-dma.manifest", "e1000e-example.manifest"):
+        assert main(["validate", str(DATA / name)]) == 0, name
+        assert capsys.readouterr().out.startswith(f"{DATA / name}: ok"), name
+    cases = [
+        ("e1000e.manifest", r"^(reg TDBAL .*)KERNEL", r"\1RW", "TDBAL"),
+        ("e1000e.manifest", r"^(reg ICR .*)KERNEL", r"\1RO", "ICR"),
+        ("e1000e-dma.manifest", r"^(reg TXD_ADDR .*)KERNEL", r"\1RW", "TXD_ADDR"),
+        ("e1000e-dma.manifest", r"^reg RXBUF .*\n", "", "RXBUF"),
+    ]
+    for name, pattern, repl, detail in cases:
+        text, n = re.subn(pattern, repl, (DATA / name).read_text(), flags=re.M)
+        assert n == 1, pattern
+        path = tmp_path / f"{detail}.manifest"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 1, detail
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.startswith("violation: ") for line in lines), detail
+        assert any(detail in line for line in lines), detail

@@ -179,14 +179,17 @@ def test_authority_confinement_under_random_driving():
     nic.mmio_read, nic.mmio_write = recording_read, recording_write
     rng = random.Random(17)
     frame = encode_udp(SUT_ENDPOINT, PEER_ENDPOINT, b"drive")
+    inbound = encode_udp(PEER_ENDPOINT, SUT_ENDPOINT, b"inbound")
+    received: list[bytes] = []
     for _ in range(200):
         roll = rng.random()
         try:
             if roll < 0.45:
                 sut.driver.send(frame)
+                peer.driver.send(inbound)  # the peer's traffic completes SUT RX descriptors
             elif roll < 0.9:
                 pump(got, 0, sut)
-                sut.driver.poll_recv()
+                received += sut.driver.poll_recv()
             else:
                 name, cap = sut.table.slices[rng.randrange(len(sut.table))]
                 sut.space.store(with_cursor(cap, rng.randrange(0x120000)), 4, 0)
@@ -196,3 +199,5 @@ def test_authority_confinement_under_random_driving():
     for offset, width, bit in hits:
         for b in range(offset, offset + width):
             assert audit[b] & bit
+    assert sut.nic.counters.rx_frames > 0
+    assert received and all(f == inbound for f in received)

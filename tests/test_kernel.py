@@ -1,3 +1,4 @@
+import pickle
 import random
 from dataclasses import replace
 
@@ -97,6 +98,31 @@ def test_stub_refuses_any_grant_of_a_privileged_register():
             assert err.value.code is ErrCode.BAD_ARGUMENT and e.name in str(err.value)
     with pytest.raises(ApiError):
         m.kernel.device("probe")
+
+
+def test_api_errors_survive_pickling():
+    # One real error per code; each round-trips with its code and text (a
+    # process pool pickles a worker's exception).
+    m, dev = rig()
+    token = m.kernel.attach(1)
+    raisers = {
+        ErrCode.DENIED: lambda: m.kernel.map_mmio(dev.mmio_root),
+        ErrCode.BUSY: lambda: m.kernel.stub_attach("e1000e", BAR_BASE, dev.bar_manifest,
+                                                   dev.dma_manifest),
+        ErrCode.NO_SUCH_DEVICE: lambda: m.kernel.attach(1, device="virtio"),
+        ErrCode.BAD_ARGUMENT: lambda: m.kernel.ioctl_set_desc_addr(token, "zz", 0,
+                                                                   dev.mmio_root),
+    }
+    assert set(raisers) == set(ErrCode)
+    for code, raise_it in raisers.items():
+        with pytest.raises(ApiError) as err:
+            raise_it()
+        assert err.value.code is code
+        copy = pickle.loads(pickle.dumps(err.value))
+        assert type(copy) is ApiError and copy.code is code
+        assert (str(copy), repr(copy)) == (str(err.value), repr(err.value))
+    bare = pickle.loads(pickle.dumps(ApiError(ErrCode.BUSY)))
+    assert bare.code is ErrCode.BUSY and str(bare) == "busy"
 
 
 # -- attach tokens ---------------------------------------------------------------

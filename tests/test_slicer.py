@@ -217,3 +217,21 @@ def test_audit_handles_offset_table_bases():
     bits = audit_reachability(table, 0x100)
     assert all(bits[b] == AUDIT_READ for b in range(0x10, 0x18))
     assert sum(bits) == 8 * AUDIT_READ
+
+
+def test_exhaustive_audit_formats_no_fault_text(monkeypatch):
+    # Nearly every probe faults, and the write probes on STATUS fault for
+    # permission. A fault that formatted its text when raised would call
+    # Perm's repr; here that raises, so the audit only completes if no fault
+    # builds its text until it is read.
+    m = parse("device x\nbar 0x100\nreg CTRL 0x0 4 RW\nreg STATUS 0x8 4 RO\n"
+              "reg IMS 0xD0 4 KERNEL\nreg TDT 0xE0 4 RW\n")
+    table = slice_standalone(m)
+
+    def no_repr(self):
+        raise AssertionError("fault text built while raising")
+
+    monkeypatch.setattr(Perm, "__repr__", no_repr)
+    bits = audit_reachability(table, m.bar_length, exhaustive=True)
+    assert bits == manifest_reach_oracle(m)
+    assert any(b == AUDIT_READ for b in bits)  # the read-only slice is there
