@@ -236,13 +236,21 @@ def unseal(target: Capability, authority: Capability) -> Capability:
     return Capability(target.base, target.length, target.cursor, target.perms, target.tag)
 
 
-def check_access(cap: Capability, width: int, need: int) -> None:
-    """Validate one access of `width` bytes at the cursor, or raise.
+def check_access(cap: Capability, width: int, need: int, offset: int = 0) -> None:
+    """Validate one access of `width` bytes at ``cap.cursor + offset``, or raise.
 
     Check order is fixed (tag, seal, permission, bounds) so identical
     inputs always fault identically. `need` is an int mask or a Perm.
+
+    `offset` is the immediate offset of CHERI's capability-relative loads
+    and stores (CHERI ISA v9, UCAM-CL-TR-951): the access needs no new
+    capability for its pointer arithmetic. For an unsealed capability it
+    faults with the same kind, address and text as checking
+    ``with_cursor(cap, cap.cursor + offset)``. A tagged sealed capability
+    raises SEAL_VIOLATION here, as the ISA's form does, where the
+    `with_cursor` form is untagged and raises TAG_INVALID.
     """
-    cursor = cap.cursor
+    cursor = cap.cursor + offset
     if not cap.tag:
         raise CapFault(_TAG_INVALID, cursor, "untagged capability")
     if cap.otype != UNSEALED:

@@ -3,7 +3,8 @@
 The bypass path (`send` / `poll_recv`) runs the ring engine,
 `kernel.Rings`, purely over the slice table: descriptor-tail slices,
 per-buffer slices, and the TDT/RDT register slices. No kernel call ever
-happens on this path.
+happens on this path. A table without a writable TDT or RDT slice cannot
+drive the rings and is refused with `ApiError(BAD_ARGUMENT)`.
 
 The mediated path (`mediated_send` / `mediated_recv`) routes through the
 kernel's socket-style interface, which runs the same engine over the
@@ -14,8 +15,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .capability import Capability
-from .kernel import Kernel, RING_SIZE, Rings
+from .capability import WRITE_MASK, Capability
+from .kernel import ApiError, ErrCode, Kernel, RING_SIZE, Rings
 from .physmem import PhysSpace
 from .slicer import SliceTable
 
@@ -33,9 +34,16 @@ class Driver:
             def row(name: str) -> list[Capability]:
                 return [table[index[f"{name}[{k}]"]] for k in range(RING_SIZE)]
 
+            def tail(name: str) -> Capability:
+                # The kernel pins the DMA slices; the BAR manifest may leave
+                # out the tail registers or withhold their write permission.
+                i = index.get(name)
+                if i is None or not table[i].has(WRITE_MASK):
+                    raise ApiError(ErrCode.BAD_ARGUMENT, f"slice table grants no writable {name}")
+                return table[i]
+
             self.rings = Rings(space, row("TXD_META"), row("TXBUF"),
-                               row("RXD_META"), row("RXBUF"),
-                               table[index["TDT"]], table[index["RDT"]])
+                               row("RXD_META"), row("RXBUF"), tail("TDT"), tail("RDT"))
 
     # -- bypass data path -----------------------------------------------------
 

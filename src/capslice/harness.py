@@ -22,7 +22,7 @@ from .driver import Driver
 from .kernel import ApiError, DMA_LENGTH, Kernel
 from .manifest import Manifest, PermClass, expand, parse
 from .netstack import DecodeError, UdpEndpoint, decode_udp, echo_reply, encode_udp
-from .nic import BAR_LENGTH, FrameLink, NicModel
+from .nic import BAR_LENGTH, PRIVILEGED, FrameLink, NicModel
 from .physmem import AccessCostTable, PhysSpace
 from .slicer import AUDIT_READ, AUDIT_WRITE, SliceTable, audit_reachability
 
@@ -534,6 +534,13 @@ def run_isolation_suite(bar_manifest: Optional[Manifest] = None,
     mismatches = sum(1 for a, b in zip(audited, oracle) if a != b)
     record("exhaustive-audit", mismatches == 0,
            f"{len(audited) * 2} (byte, perm) checks, {mismatches} mismatches")
+
+    # (e') The same audit against device truth rather than the manifest: no
+    # byte of a register the device model holds kernel-only is reachable.
+    reached = [f"{off:#x}" for off in PRIVILEGED if any(audited[off:off + 4])]
+    record("device-truth-audit", not reached,
+           f"reachable kernel-only registers at {', '.join(reached)}" if reached
+           else f"{len(PRIVILEGED)} kernel-only registers unreachable")
 
     # (f) Same audit over the descriptor rings of the DMA aperture.
     dma_view = SliceTable(slices=m.table.slices, sealed_root=m.table.sealed_dma_root)

@@ -32,7 +32,7 @@ from .capability import (
     unseal,
     with_cursor,
 )
-from .manifest import Manifest, PermClass, Repeat, SliceEntry, expand
+from .manifest import Manifest, PermClass, Repeat, SliceEntry, expand, validate
 from .nic import (
     BAR_LENGTH,
     BUF_SIZE,
@@ -69,6 +69,10 @@ DMA_RX_RING = 0x1000
 DMA_TX_BUFS = 0x2000
 DMA_RX_BUFS = DMA_TX_BUFS + RING_SIZE * BUF_SIZE
 DMA_LENGTH = DMA_RX_BUFS + RING_SIZE * BUF_SIZE  # 0x42000
+
+# Offsets of a descriptor's cmd and status bytes from its length field.
+_CMD = 3
+_STATUS = 4
 
 # The userspace entries a DMA manifest must have, and no others: each
 # descriptor's bytes 8..15 (never its address word) and one slice per buffer.
@@ -134,8 +138,8 @@ class Rings:
     """TX/RX descriptor-ring engine over the capabilities it is given: one
     per buffer, one per TDT/RDT register, and one per descriptor's bytes
     8..15 with its cursor on the length field. The cmd and status bytes are
-    addressed from that cursor, so slices (cursor at base) and capabilities
-    derived from a kernel root work alike."""
+    addressed by immediate offset from that cursor, so slices (cursor at
+    base) and capabilities derived from a kernel root work alike."""
 
     space: PhysSpace
     tx_meta: list[Capability]
@@ -158,7 +162,7 @@ class Rings:
         # in-flight descriptor for the DD bit the device sets on completion.
         while self.tx_inflight > 0:
             meta = self.tx_meta[(self.tx_tail - self.tx_inflight) % RING_SIZE]
-            if not space.load(with_cursor(meta, meta.cursor + 4), 1) & DESC_DD:
+            if not space.load(meta, 1, _STATUS) & DESC_DD:
                 break
             self.tx_inflight -= 1
         if self.tx_inflight == RING_SIZE:
@@ -167,9 +171,8 @@ class Rings:
         space.store_bytes(self.tx_bufs[k], frame)
         meta = self.tx_meta[k]
         space.store(meta, 2, len(frame))
-        space.store(with_cursor(meta, meta.cursor + 4), 1, 0)  # clear DD
-        space.store(with_cursor(meta, meta.cursor + 3), 1,
-                    TX_CMD_EOP | TX_CMD_IFCS | TX_CMD_RS)
+        space.store(meta, 1, 0, _STATUS)  # clear DD
+        space.store(meta, 1, TX_CMD_EOP | TX_CMD_IFCS | TX_CMD_RS, _CMD)
         self.tx_inflight += 1
         self.tx_tail = (k + 1) % RING_SIZE
         space.store(self.tdt, 4, self.tx_tail)
@@ -183,8 +186,7 @@ class Rings:
         frames: list[bytes] = []
         while True:
             meta = self.rx_meta[self.rx_head]
-            status_cap = with_cursor(meta, meta.cursor + 4)
-            status = space.load(status_cap, 1)
+            status = space.load(meta, 1, _STATUS)
             if not status & DESC_DD:
                 break
             if enter is not None:
@@ -193,7 +195,7 @@ class Rings:
             frames.append(space.load_bytes(self.rx_bufs[self.rx_head], length))
             if copy_out is not None:
                 copy_out(length)
-            space.store(status_cap, 1, status & ~DESC_DD)
+            space.store(meta, 1, status & ~DESC_DD, _STATUS)
             self.rx_head = (self.rx_head + 1) % RING_SIZE
         if frames:
             space.store(self.rdt, 4, (self.rx_head - 1) % RING_SIZE)
@@ -285,22 +287,30 @@ class Kernel:
         """Bring the device up: allocate DMA memory, program and preload the
         rings, enable TX/RX, and register the manifests with the interface.
 
-        A manifest that would hand userspace a kernel-only register byte or a
-        descriptor address word, or that does not match the DMA layout, is
-        refused before anything is issued."""
+        A BAR manifest that fails `validate()`, a manifest that would hand
+        userspace a kernel-only register byte or a descriptor address word,
+        or one that does not match the DMA layout is refused before anything
+        is issued."""
         if name in self._devices:
             raise ApiError(ErrCode.BUSY, f"{name} already attached")
-        problems = device_truth_violations(bar_manifest, dma_manifest)
+        # The DMA user entries are pinned exactly by device truth, so only
+        # the BAR manifest needs the shape check.
+        problems = (validate(bar_manifest)
+                    or device_truth_violations(bar_manifest, dma_manifest))
         if problems:
             raise ApiError(ErrCode.BAD_ARGUMENT, problems[0])
 
-        mmio_root = self._authority.issue_root(bar_base, bar_manifest.bar_length, PERM_RW)
+        # The stub programs the whole device, so its root spans the BAR, not
+        # just the part the manifest describes.
+        mmio_root = self._authority.issue_root(bar_base, BAR_LENGTH, PERM_RW)
         dma_base = self._alloc(DMA_LENGTH, align=16)
         dma_root = self._authority.issue_root(dma_base, DMA_LENGTH, PERM_RW)
         dma = DmaLayout(dma_base)
 
+        # Each root's cursor sits at its base, so register and descriptor
+        # offsets are immediate offsets from it.
         def reg(off: int, val: int) -> None:
-            self.space.store(with_cursor(mmio_root, bar_base + off), 4, val)
+            self.space.store(mmio_root, 4, val, off)
 
         ring_bytes = RING_SIZE * DESC_SIZE
         reg(REG_TDBAL, dma.tx_ring & 0xFFFFFFFF)
@@ -316,10 +326,11 @@ class Kernel:
         # Preprogram every descriptor to its paired buffer so the data
         # path never needs the kernel to fix addresses.
         for k in range(RING_SIZE):
-            self.space.store(with_cursor(dma_root, dma.tx_ring + k * DESC_SIZE), 8, dma.tx_buf(k))
-            self.space.store(with_cursor(dma_root, dma.tx_ring + k * DESC_SIZE + 8), 8, 0)
-            self.space.store(with_cursor(dma_root, dma.rx_ring + k * DESC_SIZE), 8, dma.rx_buf(k))
-            self.space.store(with_cursor(dma_root, dma.rx_ring + k * DESC_SIZE + 8), 8, 0)
+            tx, rx = DMA_TX_RING + k * DESC_SIZE, DMA_RX_RING + k * DESC_SIZE
+            self.space.store(dma_root, 8, dma.tx_buf(k), tx)
+            self.space.store(dma_root, 8, 0, tx + 8)
+            self.space.store(dma_root, 8, dma.rx_buf(k), rx)
+            self.space.store(dma_root, 8, 0, rx + 8)
 
         reg(REG_TCTL, TCTL_EN)
         reg(REG_RCTL, RCTL_EN)
@@ -361,9 +372,10 @@ class Kernel:
         record = self._records.get(opened.base)
         if record is None:
             raise ApiError(ErrCode.DENIED, "token matches no attach record")
-        # Cross-check the in-memory record through the token's own capability.
-        pid = self.space.load(with_cursor(opened, opened.base), 8)
-        dev_id = self.space.load(with_cursor(opened, opened.base + 8), 8)
+        # Cross-check the in-memory record through the token's own capability,
+        # whose cursor is the record's base.
+        pid = self.space.load(opened, 8)
+        dev_id = self.space.load(opened, 8, 8)
         if pid != record.process_id or dev_id != self._device_ids[record.device]:
             raise ApiError(ErrCode.DENIED, "attach record corrupted")
         return record

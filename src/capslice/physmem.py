@@ -141,34 +141,36 @@ class PhysSpace:
         self.tags[first:end] = bytes(end - first)
 
     # -- checked data access ----------------------------------------------
+    # `offset` is CHERI's immediate offset (see check_access): load and
+    # store touch cap.cursor + offset without deriving a new capability.
 
-    def load(self, cap: Capability, width: int) -> int:
+    def load(self, cap: Capability, width: int, offset: int = 0) -> int:
+        addr = cap.cursor + offset
         if width not in DATA_WIDTHS:
-            raise CapFault(FaultKind.ALIGNMENT_FAULT, cap.cursor, f"bad access width {width}")
-        check_access(cap, width, READ_MASK)
-        cursor = cap.cursor
-        region = self.region_for(cursor, width)
+            raise CapFault(FaultKind.ALIGNMENT_FAULT, addr, f"bad access width {width}")
+        check_access(cap, width, READ_MASK, offset)
+        region = self.region_for(addr, width)
         device = region.device
         if device is None:
             self.advance(self.costs.ram_access_ns)
-            return int.from_bytes(self.data[cursor:cursor + width], "little")
+            return int.from_bytes(self.data[addr:addr + width], "little")
         self.advance(self.costs.mmio_access_ns)
-        return device.mmio_read(self, cursor - region.base, width)
+        return device.mmio_read(self, addr - region.base, width)
 
-    def store(self, cap: Capability, width: int, value: int) -> None:
+    def store(self, cap: Capability, width: int, value: int, offset: int = 0) -> None:
+        addr = cap.cursor + offset
         if width not in DATA_WIDTHS:
-            raise CapFault(FaultKind.ALIGNMENT_FAULT, cap.cursor, f"bad access width {width}")
-        check_access(cap, width, WRITE_MASK)
-        cursor = cap.cursor
-        region = self.region_for(cursor, width)
+            raise CapFault(FaultKind.ALIGNMENT_FAULT, addr, f"bad access width {width}")
+        check_access(cap, width, WRITE_MASK, offset)
+        region = self.region_for(addr, width)
         device = region.device
         if device is None:
             self.advance(self.costs.ram_access_ns)
-            self.data[cursor:cursor + width] = value.to_bytes(width, "little")
-            self._clear_tags(cursor, width)
+            self.data[addr:addr + width] = value.to_bytes(width, "little")
+            self._clear_tags(addr, width)
         else:
             self.advance(self.costs.mmio_access_ns)
-            device.mmio_write(self, cursor - region.base, width, value)
+            device.mmio_write(self, addr - region.base, width, value)
 
     # -- bulk data copies (RAM only) ----------------------------------------
 

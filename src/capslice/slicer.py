@@ -26,7 +26,7 @@ from .capability import (
     unseal,
     with_cursor,
 )
-from .manifest import Manifest, expand
+from .manifest import Manifest, PermClass, expand
 
 # Reserved otypes. Mapping tokens (sealed roots) and attach tokens must
 # never be confusable, so the slicer and the kernel interface seal under
@@ -90,15 +90,19 @@ def slice(root: Capability, m: Manifest) -> SliceTable:
         raise CapFault(FaultKind.BOUNDS_VIOLATION, root.cursor,
                        f"root covers {root.length:#x} < bar {m.bar_length:#x}")
 
+    # One permission-restricted root per class, then one derivation per
+    # range: the same values as restricting each derived slice.
+    class_roots: dict[PermClass, Capability] = {}
     slices: list[tuple[str, Capability]] = []
     for name, offset, size, perm_class in expand(m):
         # Defense in depth beyond manifest validation.
         if offset + size > root.length:
             raise CapFault(FaultKind.BOUNDS_VIOLATION, root.base + offset,
                            f"{name} exceeds root bounds")
-        cap = restrict_perms(derive_bounds(root, root.base + offset, size),
-                             perm_class.to_perms())
-        slices.append((name, cap))
+        parent = class_roots.get(perm_class)
+        if parent is None:
+            parent = class_roots[perm_class] = restrict_perms(root, perm_class.to_perms())
+        slices.append((name, derive_bounds(parent, root.base + offset, size)))
     return SliceTable(slices=tuple(slices), sealed_root=seal(root, _AUTHORITY))
 
 

@@ -2,6 +2,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capslice import slicer
 from capslice.capability import (
@@ -243,6 +245,76 @@ def test_otype_space_is_bounded():
     with pytest.raises(CapFault) as err:
         seal(root(), evil)
     assert err.value.kind is FaultKind.BOUNDS_VIOLATION
+
+
+# -- immediate offsets -----------------------------------------------------------------
+
+SPACE = 0x200  # all RAM, so a passing check always lands in one region
+
+
+@st.composite
+def caps(draw):
+    # Mostly tagged, unsealed and readable-writable, with the cursor near
+    # the bounds, so that every outcome, success included, comes up often.
+    base = draw(st.integers(0, SPACE))
+    length = draw(st.integers(0, SPACE - base))
+    cursor = base + draw(st.integers(-0x20, length + 0x20))
+    perms = draw(st.one_of(st.just(int(PERM_RW)), st.integers(0, 0x3F)))
+    tag = draw(st.sampled_from((True, True, True, False)))
+    otype = draw(st.sampled_from((UNSEALED, UNSEALED, UNSEALED, 5)))
+    return Capability(base, length, cursor, perms, tag, otype)
+
+
+offsets = st.one_of(st.integers(-0x20, 0x20), st.integers(-SPACE, SPACE))
+needs = st.one_of(st.sampled_from((READ_MASK, WRITE_MASK)), st.integers(0, 0x3F))
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except CapFault as fault:
+        return fault.kind, fault.address, str(fault)
+
+
+def _sealed_fault(cap, offset):
+    addr = cap.cursor + offset
+    return (FaultKind.SEAL_VIOLATION, addr,
+            f"SEAL_VIOLATION at {addr:#x}: sealed capability (otype {cap.otype})")
+
+
+@settings(deadline=None)
+@given(cap=caps(), offset=offsets, width=st.integers(0, 17), need=needs)
+def test_check_access_offset_matches_with_cursor(cap, offset, width, need):
+    got = _outcome(check_access, cap, width, need, offset)
+    if cap.tag and cap.sealed:
+        assert got == _sealed_fault(cap, offset)
+    else:
+        assert got == _outcome(check_access, with_cursor(cap, cap.cursor + offset), width, need)
+
+
+@settings(deadline=None)
+@given(cap=caps(), offset=offsets, width=st.sampled_from((0, 1, 2, 3, 4, 8, 16)),
+       value=st.integers(0, (1 << 64) - 1), fill=st.binary(min_size=SPACE, max_size=SPACE))
+def test_load_store_offset_match_with_cursor(cap, offset, width, value, fill):
+    # Each form runs on its own space with the same contents; the result,
+    # the fault, the memory bytes and the clock must all agree.
+    spaces = []
+    for _ in range(2):
+        space, _ = PhysSpace.create(SPACE)
+        space.add_region(0, SPACE, name="ram")
+        space.data[:] = fill
+        spaces.append(space)
+    moved = with_cursor(cap, cap.cursor + offset)
+    value &= (1 << 8 * width) - 1
+    for op, args, moved_args in (("load", (cap, width, offset), (moved, width)),
+                                 ("store", (cap, width, value, offset), (moved, width, value))):
+        got = _outcome(getattr(spaces[0], op), *args)
+        want = _outcome(getattr(spaces[1], op), *moved_args)
+        if cap.tag and cap.sealed and width in (1, 2, 4, 8):
+            assert got == _sealed_fault(cap, offset), op
+        else:
+            assert got == want, op
+        assert spaces[0].data[:] == spaces[1].data[:] and spaces[0].clock == spaces[1].clock
 
 
 # -- int permission masks ------------------------------------------------------------

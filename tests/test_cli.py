@@ -190,3 +190,33 @@ def test_validate_checks_device_truth(tmp_path, capsys):
         lines = capsys.readouterr().out.splitlines()
         assert lines and all(line.startswith("violation: ") for line in lines), detail
         assert any(detail in line for line in lines), detail
+
+
+def test_bar_manifest_the_stub_or_driver_cannot_use_exits_1(tmp_path, capsys):
+    # A short BAR, a register outside its BAR, two overlapping registers
+    # (STATUS would be writable through CTRL) and a read-only TX tail.
+    shipped = (DATA / "e1000e.manifest").read_text()
+    overlap, n = re.subn(r"^reg CTRL   0x0000 4 RW(.*)\nreg STATUS 0x0008",
+                         r"reg CTRL   0x0000 8 RW\1\nreg STATUS 0x0004", shipped, flags=re.M)
+    assert n == 1
+    tdt_ro, n = re.subn(r"^(reg TDT .*)RW", r"\1RO", shipped, flags=re.M)
+    assert n == 1
+    cases = {
+        "short-bar": ("device e1000e\nbar 0x100\nreg CTRL 0x0 4 RW\n", "TDT"),
+        "outside-bar": ("device e1000e\nbar 0x100\nreg CTRL 0x0 4 RW\n"
+                        "reg TDT 0x3818 4 RW\n", "outside bar"),
+        "overlap": (overlap, "CTRL and STATUS overlap"),
+        "tdt-read-only": (tdt_ro, "TDT"),
+    }
+    for label, (text, detail) in cases.items():
+        path = tmp_path / f"{label}.manifest"
+        path.write_text(text)
+        for cmd in (["sweep", "--trials", "1", "--sizes", "1", "--delays", "0"], ["audit"]):
+            out = tmp_path / "out"
+            argv = [*cmd, "--manifest", str(path), "--out", str(out)]
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: bad argument:"), argv
+            assert detail in lines[0] and "Traceback" not in captured.err, argv
+            assert not out.exists(), argv

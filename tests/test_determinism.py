@@ -17,15 +17,24 @@ write (the frame leaves at another time) or a cost is not read from the
 cost table. Swapping two adjacent charges almost never shows: small costs
 added to the clock round the same in either order unless a partial sum
 crosses a power of two.
+
+Bring-up is pinned on its own: for `build_machine` in both modes, under
+both cost tables, the clock, the NIC's counters and registers, the bytes
+and tags of memory, and every slice's fields must equal values recorded
+before the bring-up path addressed its stores by immediate offset. The
+sweep digests would not see a dropped or regrouped bring-up charge under
+the dyadic costs.
 """
 
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from capslice.harness import SweepConfig, SweepResult, results_csv, run_cell
+from capslice.harness import (MODE_BYPASS, MODE_MEDIATED, SUT_ENDPOINT, SweepConfig,
+                              SweepResult, build_machine, results_csv, run_cell)
 from capslice.physmem import AccessCostTable
 
 PINS = Path(__file__).resolve().parent.parent / "perfbench" / "pins.json"
@@ -61,3 +70,44 @@ def test_non_dyadic_costs_reproduce_recorded_rows():
              for mode in cfg.modes]
     text = results_csv(SweepResult(cells, [], []))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == NON_DYADIC_SHA256
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# (clock after bring-up, SHA-256 of memory bytes, SHA-256 of the slice
+# table's (name, base, length, cursor, perms, tag, otype) tuples).
+BRINGUP_STATE = {
+    ("default", MODE_BYPASS): (
+        5600.0, "8972888da06d075892d301b8903dfbe64fe31a116aafce0089b2581c9bc2914b",
+        "cb57958fb20d5929fd94feeb68ed6ffa366a33af958b6c081cb9789addc8b691"),
+    ("default", MODE_MEDIATED): (
+        5560.0, "5c219526cc19de5a90f5c40aa0d3fade9644dea911aeac01dca6418f354e2e4c",
+        "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    ("non-dyadic", MODE_BYPASS): (
+        5797.599999999953, "8972888da06d075892d301b8903dfbe64fe31a116aafce0089b2581c9bc2914b",
+        "cb57958fb20d5929fd94feeb68ed6ffa366a33af958b6c081cb9789addc8b691"),
+    ("non-dyadic", MODE_MEDIATED): (
+        5754.799999999954, "5c219526cc19de5a90f5c40aa0d3fade9644dea911aeac01dca6418f354e2e4c",
+        "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+}
+BRINGUP_COUNTERS = {"tx_frames": 0, "rx_frames": 0, "rx_dropped": 0,
+                    "mmio_reads": 0, "mmio_writes": 12}
+BRINGUP_REGS_SHA256 = "4b44b116ebcf4aaeee6eec7043fc16a75f46435204545be048e52d84b9d4f0cf"
+BRINGUP_TAGS_SHA256 = "484eaa327eae22dd9073858b0599e43fb5e06cabfbc8de88c83763edcb8d2446"
+
+
+@pytest.mark.parametrize("costs_name,mode", sorted(BRINGUP_STATE))
+def test_bringup_state_matches_recorded_digest(costs_name, mode):
+    costs = NON_DYADIC_COSTS if costs_name == "non-dyadic" else AccessCostTable()
+    m = build_machine("sut", mode, SUT_ENDPOINT, costs=costs)
+    slices = () if m.table is None else tuple(
+        (name, c.base, c.length, c.cursor, c.perms, c.tag, c.otype) for name, c in m.table)
+    clock, data_sha, slices_sha = BRINGUP_STATE[(costs_name, mode)]
+    assert m.space.clock == clock
+    assert asdict(m.nic.counters) == BRINGUP_COUNTERS
+    assert _sha256(repr(sorted(m.nic.regs.items())).encode()) == BRINGUP_REGS_SHA256
+    assert _sha256(bytes(m.space.data)) == data_sha
+    assert _sha256(bytes(m.space.tags)) == BRINGUP_TAGS_SHA256
+    assert _sha256(repr(slices).encode()) == slices_sha

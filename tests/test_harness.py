@@ -1,8 +1,9 @@
 import gc
+from dataclasses import replace
 
 import pytest
 
-from capslice import harness
+from capslice import harness, kernel
 from capslice.harness import (
     MODE_BYPASS,
     MODE_MEDIATED,
@@ -16,7 +17,7 @@ from capslice.harness import (
     run_sweep,
 )
 from capslice.kernel import ApiError, ErrCode
-from capslice.manifest import parse
+from capslice.manifest import PermClass, parse
 from capslice.netstack import DecodeError, Reject
 from capslice.physmem import AccessCostTable
 
@@ -122,7 +123,9 @@ def test_isolation_suite_passes_on_shipped_policy():
     report = run_isolation_suite()
     details = {s.name: s for s in report.scenarios}
     assert report.passed, report.render()
+    assert len(report.scenarios) == 9
     assert details["exhaustive-audit"].detail.startswith("262144 ")
+    assert details["device-truth-audit"].detail == "12 kernel-only registers unreachable"
     assert "PASS" in report.render()
 
 
@@ -137,6 +140,20 @@ def test_isolation_suite_catches_bad_policy():
     with pytest.raises(ApiError) as err:
         run_isolation_suite(bar_manifest=leaky)
     assert err.value.code is ErrCode.BAD_ARGUMENT and "IMS" in str(err.value)
+
+
+def test_device_truth_audit_catches_a_leak_the_attach_check_missed(monkeypatch):
+    # With the attach check gone, a manifest that hands out the TX ring base
+    # passes every other scenario, since the manifest's own oracle agrees
+    # with the leak; only the audit against the device's registers fails.
+    monkeypatch.setattr(kernel, "device_truth_violations", lambda *manifests: [])
+    shipped = harness.data_manifest("e1000e.manifest")
+    leaky = replace(shipped, entries=tuple(
+        replace(e, perm=PermClass.RW) if e.name == "TDBAL" else e for e in shipped.entries))
+    report = run_isolation_suite(bar_manifest=leaky)
+    failed = [s for s in report.scenarios if not s.passed]
+    assert [s.name for s in failed] == ["device-truth-audit"]
+    assert failed[0].detail == "reachable kernel-only registers at 0x3800"
 
 
 def test_oracle_respects_length_argument():

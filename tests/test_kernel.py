@@ -26,8 +26,9 @@ from capslice.kernel import (
     ErrCode,
     RING_SIZE,
 )
-from capslice.manifest import PermClass
+from capslice.manifest import PermClass, parse
 from capslice.nic import (
+    BAR_LENGTH,
     PRIVILEGED,
     FrameLink,
     REG_RDT,
@@ -98,6 +99,34 @@ def test_stub_refuses_any_grant_of_a_privileged_register():
             assert err.value.code is ErrCode.BAD_ARGUMENT and e.name in str(err.value)
     with pytest.raises(ApiError):
         m.kernel.device("probe")
+
+
+def test_stub_refuses_a_bar_manifest_that_fails_validate():
+    m, dev = rig()
+    shipped = dev.bar_manifest
+    entries = tuple(replace(e, size=12) if e.name == "CTRL" else e for e in shipped.entries)
+    with pytest.raises(ApiError) as err:
+        m.kernel.stub_attach("probe", BAR_BASE, replace(shipped, entries=entries),
+                             dev.dma_manifest)
+    assert err.value.code is ErrCode.BAD_ARGUMENT
+    assert err.value.detail == "CTRL and STATUS overlap at 0x8"
+    with pytest.raises(ApiError):
+        m.kernel.device("probe")
+
+
+def test_stub_programs_the_whole_bar_under_a_short_manifest():
+    # The ring registers lie far above a 0x100-byte manifest; the stub's
+    # root spans the device's BAR, so bring-up and the socket path work.
+    short = parse("device e1000e\nbar 0x100\nreg CTRL 0x0 4 RW\n")
+    m = build_machine("kern", "mediated", SUT_ENDPOINT, link=FrameLink(), bar_manifest=short)
+    dev = m.kernel.device("e1000e")
+    assert dev.mmio_root.length == BAR_LENGTH
+    assert mmio_read(m, dev, REG_RDT) == RING_SIZE - 1
+    m.driver.mediated_send(b"x" * 60)
+    assert m.nic.counters.tx_frames == 1
+    with pytest.raises(ApiError) as err:
+        build_machine("kern", "bypass", SUT_ENDPOINT, bar_manifest=short)
+    assert err.value.code is ErrCode.BAD_ARGUMENT and "TDT" in err.value.detail
 
 
 def test_api_errors_survive_pickling():
