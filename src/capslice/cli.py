@@ -2,9 +2,8 @@
 
 Subcommands:
     validate <manifest>      parse + validate, list every violation; an
-                             e1000e or e1000e-dma manifest is also checked
-                             against the device (kernel-only registers,
-                             the DMA layout)
+                             e1000e manifest is also checked against the
+                             device (the BAR length, kernel-only registers)
     slice-dump <manifest>    print the slice table the manifest carves
     audit                    run the isolation suite, write audit.txt
     sweep                    run the latency sweep, write results.csv
@@ -76,14 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit = sub.add_parser("audit", help="run the isolation suite")
     p_audit.add_argument("--manifest", type=Path, default=None,
                          help="register manifest (default: shipped e1000e map)")
-    p_audit.add_argument("--dma-manifest", type=Path, default=None,
-                         help="DMA-region manifest (default: shipped layout)")
     p_audit.add_argument("--out", type=Path, default=None,
                          help="directory for audit.txt")
 
     p_sweep = sub.add_parser("sweep", help="latency sweep over sizes and delays")
     p_sweep.add_argument("--manifest", type=Path, default=None)
-    p_sweep.add_argument("--dma-manifest", type=Path, default=None)
     p_sweep.add_argument("--sizes", type=_int_list, default=None,
                          help="comma-separated payload sizes (bytes)")
     p_sweep.add_argument("--delays", type=_int_list, default=None,
@@ -104,29 +100,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_manifests(*paths: Path | None) -> list[Manifest | None] | None:
-    """Parse each given manifest path (None stays None). On an unreadable or
-    unparsable file, print why and return None."""
-    manifests: list[Manifest | None] = []
-    for path in paths:
-        try:
-            manifests.append(parse_file(path) if path is not None else None)
-        except (OSError, UnicodeDecodeError, ManifestError) as err:
-            print(f"error: {path}: {err}", file=sys.stderr)
-            return None
-    return manifests
+def _read_manifest(path: Path) -> Manifest | None:
+    """Parse one manifest. On an unreadable or unparsable file, print why
+    and return None."""
+    try:
+        return parse_file(path)
+    except (OSError, UnicodeDecodeError, ManifestError) as err:
+        print(f"error: {path}: {err}", file=sys.stderr)
+        return None
 
 
 def _read_valid_manifest(path: Path) -> Manifest | None:
     """Parse and validate one manifest. On any problem, print it and return
     None."""
-    read = _read_manifests(path)
-    if read is None:
+    m = _read_manifest(path)
+    if m is None:
         return None
-    violations = validate(read[0])
+    violations = validate(m)
     for v in violations:
         print(f"violation: {v}")
-    return None if violations else read[0]
+    return None if violations else m
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -134,12 +127,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if m is None:
         return 1
     # A manifest written for the e1000e is also held to the device's truth.
-    if m.device_name == "e1000e":
-        problems = device_truth_violations(bar_manifest=m)
-    elif m.device_name == "e1000e-dma":
-        problems = device_truth_violations(dma_manifest=m)
-    else:
-        problems = []
+    problems = device_truth_violations(m) if m.device_name == "e1000e" else []
     for p in problems:
         print(f"violation: {p}")
     if problems:
@@ -160,10 +148,12 @@ def cmd_slice_dump(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    read = _read_manifests(args.manifest, args.dma_manifest)
-    if read is None:
-        return 1
-    report = harness.run_isolation_suite(*read)
+    bar_manifest = None
+    if args.manifest is not None:
+        bar_manifest = _read_manifest(args.manifest)
+        if bar_manifest is None:
+            return 1
+    report = harness.run_isolation_suite(bar_manifest)
     text = report.render()
     print(text, end="")
     if args.out is not None:
@@ -220,10 +210,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if problem is not None:
         print(f"capslice sweep: error: {problem}", file=sys.stderr)
         return 2
-    read = _read_manifests(args.manifest, args.dma_manifest)
-    if read is None:
-        return 1
-    cfg.bar_manifest, cfg.dma_manifest = read
+    if args.manifest is not None:
+        cfg.bar_manifest = _read_manifest(args.manifest)
+        if cfg.bar_manifest is None:
+            return 1
 
     result = harness.run_sweep(cfg)
     args.out.mkdir(parents=True, exist_ok=True)

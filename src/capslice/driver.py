@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .capability import WRITE_MASK, Capability
-from .kernel import ApiError, ErrCode, Kernel, RING_SIZE, Rings
+from .kernel import ApiError, ErrCode, Kernel, Rings
 from .physmem import PhysSpace
 from .slicer import SliceTable
 
@@ -31,19 +31,15 @@ class Driver:
         if table is not None:
             index = table.index_map()
 
-            def row(name: str) -> list[Capability]:
-                return [table[index[f"{name}[{k}]"]] for k in range(RING_SIZE)]
-
             def tail(name: str) -> Capability:
-                # The kernel pins the DMA slices; the BAR manifest may leave
+                # The kernel carves the DMA slices; the BAR manifest may leave
                 # out the tail registers or withhold their write permission.
                 i = index.get(name)
                 if i is None or not table[i].has(WRITE_MASK):
                     raise ApiError(ErrCode.BAD_ARGUMENT, f"slice table grants no writable {name}")
                 return table[i]
 
-            self.rings = Rings(space, row("TXD_META"), row("TXBUF"),
-                               row("RXD_META"), row("RXBUF"), tail("TDT"), tail("RDT"))
+            self.rings = Rings.over(space, table, tail("TDT"), tail("RDT"))
 
     # -- bypass data path -----------------------------------------------------
 

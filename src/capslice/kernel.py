@@ -2,15 +2,16 @@
 
 The kernel owns the root capabilities. Userspace gets exactly three
 things from it: a sealed attach token, a slice table carved per the
-registered manifests, and one privileged ioctl for rewriting descriptor
-buffer addresses. Everything else is denied, and denials provably touch
-neither the device nor DMA memory.
+registered BAR manifest and the kernel's own DMA carving, and one
+privileged ioctl for rewriting descriptor buffer addresses. Everything
+else is denied, and denials provably touch neither the device nor DMA
+memory.
 
 The descriptor-ring engine `Rings` is the one data plane under two
 control paths: the bypass driver runs it over its slices, and the
 socket-style send/recv path here (the kernel-mediated baseline, not part
-of the token-gated interface) runs it over the kernel roots, adding only
-the crossing and copy charges.
+of the token-gated interface) runs it over the kernel's own carving of the
+DMA region, adding only the crossing and copy charges.
 """
 
 from __future__ import annotations
@@ -74,15 +75,16 @@ DMA_LENGTH = DMA_RX_BUFS + RING_SIZE * BUF_SIZE  # 0x42000
 _CMD = 3
 _STATUS = 4
 
-# The userspace entries a DMA manifest must have, and no others: each
-# descriptor's bytes 8..15 (never its address word) and one slice per buffer.
-DMA_USER_ENTRIES = frozenset(
+# The descriptor format fixes the DMA carving, so the kernel owns it rather
+# than a policy file: each descriptor's bytes 8..15 (never its address word)
+# and one slice per buffer.
+DMA_MANIFEST = Manifest("e1000e-dma", DMA_LENGTH, tuple(
     SliceEntry(name, offset, size, PermClass.RW, Repeat(RING_SIZE, stride))
     for name, offset, size, stride in (
         ("TXD_META", DMA_TX_RING + 8, 8, DESC_SIZE),
         ("RXD_META", DMA_RX_RING + 8, 8, DESC_SIZE),
         ("TXBUF", DMA_TX_BUFS, BUF_SIZE, BUF_SIZE),
-        ("RXBUF", DMA_RX_BUFS, BUF_SIZE, BUF_SIZE)))
+        ("RXBUF", DMA_RX_BUFS, BUF_SIZE, BUF_SIZE))))
 
 
 class ErrCode(Enum):
@@ -138,8 +140,7 @@ class Rings:
     """TX/RX descriptor-ring engine over the capabilities it is given: one
     per buffer, one per TDT/RDT register, and one per descriptor's bytes
     8..15 with its cursor on the length field. The cmd and status bytes are
-    addressed by immediate offset from that cursor, so slices (cursor at
-    base) and capabilities derived from a kernel root work alike."""
+    addressed by immediate offset from that cursor."""
 
     space: PhysSpace
     tx_meta: list[Capability]
@@ -151,6 +152,19 @@ class Rings:
     tx_tail: int = 0  # the oldest in-flight descriptor is tx_tail - tx_inflight
     tx_inflight: int = 0
     rx_head: int = 0  # RDT stays one behind, since head == tail means empty
+
+    @classmethod
+    def over(cls, space: PhysSpace, table: slicer.SliceTable,
+             tdt: Capability, rdt: Capability) -> Rings:
+        """The engine over the slices `DMA_MANIFEST` carves, looked up by
+        name in `table`, and the given TDT/RDT capabilities."""
+        index = table.index_map()
+
+        def row(name: str) -> list[Capability]:
+            return [table[index[f"{name}[{k}]"]] for k in range(RING_SIZE)]
+
+        return cls(space, row("TXD_META"), row("TXBUF"), row("RXD_META"), row("RXBUF"),
+                   tdt, rdt)
 
     def send(self, frame: bytes) -> None:
         """Copy the frame into the next free transmit buffer, fill the
@@ -202,34 +216,21 @@ class Rings:
         return frames
 
 
-def device_truth_violations(bar_manifest: Optional[Manifest] = None,
-                            dma_manifest: Optional[Manifest] = None) -> list[str]:
-    """Where a manifest disagrees with the e1000e device, one line each.
+def device_truth_violations(bar_manifest: Manifest) -> list[str]:
+    """Where a BAR manifest disagrees with the e1000e device, one line each.
 
-    A BAR manifest must fit the BAR and grant no byte of a kernel-only
-    register (`nic.PRIVILEGED`). A DMA manifest must cover exactly the DMA
-    layout, and its non-`KERNEL` entries must be exactly `DMA_USER_ENTRIES`.
-    `stub_attach` refuses a manifest with any violation; `capslice validate`
-    lists them."""
+    It must fit the BAR and grant no byte of a kernel-only register
+    (`nic.PRIVILEGED`). `stub_attach` refuses a manifest with any
+    violation; `capslice validate` lists them."""
     problems: list[str] = []
-    if bar_manifest is not None:
-        if bar_manifest.bar_length > BAR_LENGTH:
-            problems.append(f"BAR manifest covers {bar_manifest.bar_length:#x},"
-                            f" the BAR is {BAR_LENGTH:#x}")
-        for r in expand(bar_manifest):
-            for off in PRIVILEGED:
-                if r.offset < off + 4 and off < r.offset + r.size:
-                    problems.append(f"BAR manifest grants {r.name}, which covers the"
-                                    f" kernel-only register at {off:#x}")
-    if dma_manifest is not None:
-        if dma_manifest.bar_length != DMA_LENGTH:
-            problems.append(f"DMA manifest covers {dma_manifest.bar_length:#x},"
-                            f" layout needs {DMA_LENGTH:#x}")
-        user = {e for e in dma_manifest.entries if e.perm is not PermClass.KERNEL}
-        if user != DMA_USER_ENTRIES:
-            names = sorted({e.name for e in user ^ DMA_USER_ENTRIES})
-            problems.append(f"DMA manifest entries {', '.join(names)}"
-                            " do not match the DMA layout")
+    if bar_manifest.bar_length > BAR_LENGTH:
+        problems.append(f"BAR manifest covers {bar_manifest.bar_length:#x},"
+                        f" the BAR is {BAR_LENGTH:#x}")
+    for r in expand(bar_manifest):
+        for off in PRIVILEGED:
+            if r.offset < off + 4 and off < r.offset + r.size:
+                problems.append(f"BAR manifest grants {r.name}, which covers the"
+                                f" kernel-only register at {off:#x}")
     return problems
 
 
@@ -244,7 +245,6 @@ class AttachRecord:
 class DeviceState:
     bar_base: int
     bar_manifest: Manifest
-    dma_manifest: Manifest
     mmio_root: Capability
     dma_root: Capability
     dma: DmaLayout
@@ -282,21 +282,16 @@ class Kernel:
 
     # -- stub: probe/attach ------------------------------------------------
 
-    def stub_attach(self, name: str, bar_base: int,
-                    bar_manifest: Manifest, dma_manifest: Manifest) -> None:
+    def stub_attach(self, name: str, bar_base: int, bar_manifest: Manifest) -> None:
         """Bring the device up: allocate DMA memory, program and preload the
-        rings, enable TX/RX, and register the manifests with the interface.
+        rings, enable TX/RX, and register the BAR manifest with the interface.
 
-        A BAR manifest that fails `validate()`, a manifest that would hand
-        userspace a kernel-only register byte or a descriptor address word,
-        or one that does not match the DMA layout is refused before anything
-        is issued."""
+        A BAR manifest that fails `validate()` or would hand userspace a
+        kernel-only register byte is refused before anything is issued. The
+        DMA region is carved by `DMA_MANIFEST`."""
         if name in self._devices:
             raise ApiError(ErrCode.BUSY, f"{name} already attached")
-        # The DMA user entries are pinned exactly by device truth, so only
-        # the BAR manifest needs the shape check.
-        problems = (validate(bar_manifest)
-                    or device_truth_violations(bar_manifest, dma_manifest))
+        problems = validate(bar_manifest) or device_truth_violations(bar_manifest)
         if problems:
             raise ApiError(ErrCode.BAD_ARGUMENT, problems[0])
 
@@ -339,8 +334,7 @@ class Kernel:
 
         self._device_ids[name] = len(self._device_ids) + 1
         self._devices[name] = DeviceState(
-            bar_base=bar_base,
-            bar_manifest=bar_manifest, dma_manifest=dma_manifest,
+            bar_base=bar_base, bar_manifest=bar_manifest,
             mmio_root=mmio_root, dma_root=dma_root, dma=dma)
 
     def device(self, name: str) -> DeviceState:
@@ -392,7 +386,7 @@ class Kernel:
             raise ApiError(ErrCode.DENIED, "already mapped once for this attach")
         dev = self._devices[record.device]
         regs_table = slicer.slice(dev.mmio_root, dev.bar_manifest)
-        dma_table = slicer.slice(dev.dma_root, dev.dma_manifest)
+        dma_table = slicer.slice(dev.dma_root, DMA_MANIFEST)
         record.mapped = True
         return slicer.SliceTable(
             slices=regs_table.slices + dma_table.slices,
@@ -403,7 +397,8 @@ class Kernel:
                             buf: Capability) -> None:
         """Privileged write of a descriptor's address field.
 
-        The buffer capability must be tagged, unsealed, readable, and lie
+        The buffer capability must be tagged, unsealed, readable, cover at
+        least the `BUF_SIZE` bytes the NIC may DMA from its base, and lie
         entirely inside the caller's DMA buffer region; anything else is
         denied with the descriptor untouched.
         """
@@ -420,6 +415,9 @@ class Kernel:
             raise ApiError(ErrCode.DENIED, "buffer capability is sealed")
         if not buf.has(Perm.READ):
             raise ApiError(ErrCode.DENIED, "buffer capability lacks READ")
+        if buf.length < BUF_SIZE:
+            raise ApiError(ErrCode.DENIED, f"buffer capability covers {buf.length} bytes,"
+                                           f" the NIC may DMA {BUF_SIZE}")
         if not (dev.dma.bufs_base <= buf.base and buf.top <= dev.dma.bufs_end):
             raise ApiError(ErrCode.DENIED, "buffer outside the DMA buffer region")
         ring = dev.dma.tx_ring if queue == "tx" else dev.dma.rx_ring
@@ -437,13 +435,8 @@ class Kernel:
         # Built by the first socket call, so that bring-up does none of this work.
         dev = self.device(device)
         if dev.rings is None:
-            dma, root, ks = dev.dma, dev.dma_root, range(RING_SIZE)
-            dev.rings = Rings(
-                self.space,
-                [with_cursor(root, dma.tx_ring + k * DESC_SIZE + 8) for k in ks],
-                [with_cursor(root, dma.tx_buf(k)) for k in ks],
-                [with_cursor(root, dma.rx_ring + k * DESC_SIZE + 8) for k in ks],
-                [with_cursor(root, dma.rx_buf(k)) for k in ks],
+            dev.rings = Rings.over(
+                self.space, slicer.slice(dev.dma_root, DMA_MANIFEST),
                 with_cursor(dev.mmio_root, dev.bar_base + REG_TDT),
                 with_cursor(dev.mmio_root, dev.bar_base + REG_RDT))
         return dev.rings
@@ -451,7 +444,7 @@ class Kernel:
     def socket_send(self, device: str, frame: bytes) -> None:
         """Kernel-mediated transmit: two ring crossings plus one extra
         user-to-kernel payload copy, then the same ring engine the bypass
-        driver runs, over the kernel roots."""
+        driver runs, over the kernel's own slices."""
         self.invocations += 1
         rings = self._rings(device)
         if len(frame) > BUF_SIZE:  # refused at entry, before any charge

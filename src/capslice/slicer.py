@@ -169,11 +169,6 @@ def audit_reachability(table: SliceTable, bar_length: int,
                 if granter[addr - base] is None:
                     granter[addr - base] = cap
         for b, cap in enumerate(granter):
-            if cap is None:
-                continue
-            addr = base + b
-            if _grants(cap, addr, need):
-                result[b] |= bit
-            elif any(_grants(other, addr, need) for other in caps):
+            if cap is not None and _grants(cap, base + b, need):
                 result[b] |= bit
     return result

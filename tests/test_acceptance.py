@@ -41,7 +41,7 @@ from capslice.harness import (
 )
 from capslice.kernel import ApiError, DMA_LENGTH, ErrCode, RING_SIZE
 from capslice.netstack import encode_udp
-from capslice.nic import BAR_LENGTH, DESC_SIZE, FrameLink
+from capslice.nic import BAR_LENGTH, BUF_SIZE, DESC_SIZE, FrameLink
 from capslice.physmem import GRANULE, PhysSpace
 from capslice.slicer import audit_reachability
 
@@ -166,7 +166,8 @@ def test_criterion_4_token_provenance():
 
 def test_criterion_5_dma_containment():
     """1,000 randomized driver action sequences, hostile ioctls included;
-    descriptor address words never leave the buffer region."""
+    descriptor address words, and the BUF_SIZE spans the NIC may DMA from
+    them, never leave the buffer region."""
     started = time.monotonic()
     link = FrameLink(delay_ns=10.0, wire_ns_per_byte=0.0)
     m = build_machine("sut", MODE_BYPASS, SUT_ENDPOINT, link=link)
@@ -184,6 +185,8 @@ def test_criterion_5_dma_containment():
                 addr = int.from_bytes(
                     m.space.dma_read(ring + k * DESC_SIZE, 8), "little")
                 if not dev.dma.bufs_base <= addr < dev.dma.bufs_end:
+                    return False
+                if addr + BUF_SIZE > dev.dma.bufs_end:  # the span the NIC may DMA
                     return False
         return True
 

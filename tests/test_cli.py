@@ -59,10 +59,16 @@ def test_sweep_honors_cost_flags(tmp_path):
     assert abs(float(row.split(",")[2])) < 1.0
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["sweep", "--trials", "not-a-number"]) == 2
+    # The kernel carves the DMA region itself; there is no flag to replace it.
+    for cmd in ("sweep", "audit"):
+        assert main([cmd, "--dma-manifest", "x.manifest"]) == 2, cmd
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "unrecognized arguments: --dma-manifest" in err
+        assert "Traceback" not in err, cmd
 
 
 def _no_cell_may_run(monkeypatch):
@@ -117,69 +123,60 @@ def test_unreadable_manifest_exits_1(tmp_path, capsys, monkeypatch):
     missing = tmp_path / "missing.manifest"
     for path in (missing, garbled, binary, tmp_path):
         for cmd in (["sweep", "--trials", "1"], ["audit"]):
-            for flag in ("--manifest", "--dma-manifest"):
-                argv = [*cmd, flag, str(path), "--out", str(tmp_path / "out")]
-                assert main(argv) == 1, argv
-                err = capsys.readouterr().err
-                assert err.startswith(f"error: {path}") and "Traceback" not in err, argv
+            argv = [*cmd, "--manifest", str(path), "--out", str(tmp_path / "out")]
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}") and "Traceback" not in err, argv
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}")
     assert not (tmp_path / "out").exists()
 
 
 def test_manifest_that_does_not_fit_the_device_exits_1(tmp_path, capsys):
-    # Both parse, but the DMA layout is not a register map and vice versa.
-    cases = [
-        (["sweep", "--trials", "1", "--sizes", "1", "--delays", "0",
-          "--dma-manifest", str(DATA / "e1000e.manifest")], "DMA manifest covers 0x20000"),
-        (["audit", "--manifest", str(DATA / "e1000e-dma.manifest")],
-         "BAR manifest covers 0x42000"),
-    ]
-    for argv, detail in cases:
-        out = tmp_path / argv[0]
-        assert main([*argv, "--out", str(out)]) == 1, argv
+    # It parses and validates, but it covers more than the device's BAR.
+    text, n = re.subn(r"^bar 0x20000$", "bar 0x42000", (DATA / "e1000e.manifest").read_text(),
+                      flags=re.M)
+    assert n == 1
+    path = tmp_path / "long-bar.manifest"
+    path.write_text(text)
+    for cmd in (["sweep", "--trials", "1", "--sizes", "1", "--delays", "0"], ["audit"]):
+        out = tmp_path / cmd[0]
+        argv = [*cmd, "--manifest", str(path), "--out", str(out)]
+        assert main(argv) == 1, argv
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: bad argument:"), argv
-        assert detail in lines[0] and "Traceback" not in captured.err, argv
+        assert "BAR manifest covers 0x42000" in lines[0], argv
+        assert "Traceback" not in captured.err, argv
         assert not out.exists(), argv
 
 
 def test_manifest_that_grants_kernel_bytes_exits_1(tmp_path, capsys):
-    # Each manifest is sound in shape, but hands userspace a privileged
-    # register, a descriptor address word, or a layout without TX buffers.
-    cases = [
-        ("--manifest", "e1000e.manifest", r"^(reg TDBAL .*)KERNEL", r"\1RW", "TDBAL"),
-        ("--dma-manifest", "e1000e-dma.manifest", r"^(reg TXD_ADDR .*)KERNEL", r"\1RW",
-         "TXD_ADDR"),
-        ("--dma-manifest", "e1000e-dma.manifest", r"^reg TXBUF .*\n", "", "TXBUF"),
-    ]
-    for flag, name, pattern, repl, detail in cases:
-        text, n = re.subn(pattern, repl, (DATA / name).read_text(), flags=re.M)
-        assert n == 1, pattern
-        path = tmp_path / f"{detail}.manifest"
-        path.write_text(text)
-        for cmd in (["sweep", "--trials", "1", "--sizes", "1", "--delays", "0"], ["audit"]):
-            out = tmp_path / "out"
-            argv = [*cmd, flag, str(path), "--out", str(out)]
-            assert main(argv) == 1, argv
-            captured = capsys.readouterr()
-            lines = captured.err.splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error: bad argument:"), argv
-            assert detail in lines[0] and "Traceback" not in captured.err, argv
-            assert not out.exists(), argv
+    # Sound in shape, but it hands userspace the TX ring's base register.
+    text, n = re.subn(r"^(reg TDBAL .*)KERNEL", r"\1RW", (DATA / "e1000e.manifest").read_text(),
+                      flags=re.M)
+    assert n == 1
+    path = tmp_path / "TDBAL.manifest"
+    path.write_text(text)
+    for cmd in (["sweep", "--trials", "1", "--sizes", "1", "--delays", "0"], ["audit"]):
+        out = tmp_path / "out"
+        argv = [*cmd, "--manifest", str(path), "--out", str(out)]
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: bad argument:"), argv
+        assert "TDBAL" in lines[0] and "Traceback" not in captured.err, argv
+        assert not out.exists(), argv
 
 
 def test_validate_checks_device_truth(tmp_path, capsys):
     # Shape alone passes these; the e1000e device does not.
-    for name in ("e1000e.manifest", "e1000e-dma.manifest", "e1000e-example.manifest"):
+    for name in ("e1000e.manifest", "e1000e-example.manifest"):
         assert main(["validate", str(DATA / name)]) == 0, name
         assert capsys.readouterr().out.startswith(f"{DATA / name}: ok"), name
     cases = [
         ("e1000e.manifest", r"^(reg TDBAL .*)KERNEL", r"\1RW", "TDBAL"),
         ("e1000e.manifest", r"^(reg ICR .*)KERNEL", r"\1RO", "ICR"),
-        ("e1000e-dma.manifest", r"^(reg TXD_ADDR .*)KERNEL", r"\1RW", "TXD_ADDR"),
-        ("e1000e-dma.manifest", r"^reg RXBUF .*\n", "", "RXBUF"),
     ]
     for name, pattern, repl, detail in cases:
         text, n = re.subn(pattern, repl, (DATA / name).read_text(), flags=re.M)

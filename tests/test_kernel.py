@@ -12,6 +12,7 @@ from capslice.capability import (
     FaultKind,
     PERM_RW,
     Perm,
+    derive_bounds,
     make_otype_authority,
     seal,
     unseal,
@@ -81,7 +82,7 @@ def test_stub_initial_ring_registers():
 def test_double_attach_is_error():
     m, dev = rig()
     with pytest.raises(ApiError) as err:
-        m.kernel.stub_attach("e1000e", BAR_BASE, dev.bar_manifest, dev.dma_manifest)
+        m.kernel.stub_attach("e1000e", BAR_BASE, dev.bar_manifest)
     assert err.value.code is ErrCode.BUSY
 
 
@@ -94,8 +95,7 @@ def test_stub_refuses_any_grant_of_a_privileged_register():
         for perm in (PermClass.RO, PermClass.RW):
             entries = tuple(replace(x, perm=perm) if x is e else x for x in shipped.entries)
             with pytest.raises(ApiError) as err:
-                m.kernel.stub_attach("probe", BAR_BASE, replace(shipped, entries=entries),
-                                     dev.dma_manifest)
+                m.kernel.stub_attach("probe", BAR_BASE, replace(shipped, entries=entries))
             assert err.value.code is ErrCode.BAD_ARGUMENT and e.name in str(err.value)
     with pytest.raises(ApiError):
         m.kernel.device("probe")
@@ -106,8 +106,7 @@ def test_stub_refuses_a_bar_manifest_that_fails_validate():
     shipped = dev.bar_manifest
     entries = tuple(replace(e, size=12) if e.name == "CTRL" else e for e in shipped.entries)
     with pytest.raises(ApiError) as err:
-        m.kernel.stub_attach("probe", BAR_BASE, replace(shipped, entries=entries),
-                             dev.dma_manifest)
+        m.kernel.stub_attach("probe", BAR_BASE, replace(shipped, entries=entries))
     assert err.value.code is ErrCode.BAD_ARGUMENT
     assert err.value.detail == "CTRL and STATUS overlap at 0x8"
     with pytest.raises(ApiError):
@@ -136,8 +135,7 @@ def test_api_errors_survive_pickling():
     token = m.kernel.attach(1)
     raisers = {
         ErrCode.DENIED: lambda: m.kernel.map_mmio(dev.mmio_root),
-        ErrCode.BUSY: lambda: m.kernel.stub_attach("e1000e", BAR_BASE, dev.bar_manifest,
-                                                   dev.dma_manifest),
+        ErrCode.BUSY: lambda: m.kernel.stub_attach("e1000e", BAR_BASE, dev.bar_manifest),
         ErrCode.NO_SUCH_DEVICE: lambda: m.kernel.attach(1, device="virtio"),
         ErrCode.BAD_ARGUMENT: lambda: m.kernel.ioctl_set_desc_addr(token, "zz", 0,
                                                                    dev.mmio_root),
@@ -247,6 +245,23 @@ def test_returned_capabilities_are_sealed_or_strict_subranges():
         assert sealed.sealed
 
 
+def test_dma_carving_reaches_no_descriptor_address_word():
+    # Checked against the descriptor format, not against the kernel's DMA
+    # carving: bytes 0..7 of every TX and RX descriptor select where the NIC
+    # DMAs, so no slice may read or write any of them.
+    m, dev = rig()
+    base = dev.dma.base
+    view = slicer.SliceTable(slices=m.table.slices, sealed_root=m.table.sealed_dma_root)
+    reach = slicer.audit_reachability(view, dev.dma.rx_ring + RING_SIZE * DESC_SIZE - base)
+    rw = slicer.AUDIT_READ | slicer.AUDIT_WRITE
+    for ring in (dev.dma.tx_ring, dev.dma.rx_ring):
+        for k in range(RING_SIZE):
+            desc = ring - base + k * DESC_SIZE
+            assert not any(reach[desc:desc + 8]), (hex(ring), k)
+            # the audit is not blind: the driver owns each descriptor's tail
+            assert set(reach[desc + 8:desc + DESC_SIZE]) == {rw}, (hex(ring), k)
+
+
 # -- the privileged ioctl -----------------------------------------------------
 
 def test_ioctl_updates_descriptor_address():
@@ -290,6 +305,28 @@ def test_ioctl_rejects_kernel_ram_capability():
     with pytest.raises(ApiError) as err:
         m.kernel.ioctl_set_desc_addr(token, "rx", 1, alien)
     assert err.value.code is ErrCode.DENIED
+
+
+def test_ioctl_rejects_capability_shorter_than_a_buffer():
+    # A 1-byte capability at the last byte of the buffer region lies inside
+    # it, but the NIC may DMA BUF_SIZE bytes from its base: past the region,
+    # into the attach record the kernel allocated right after it.
+    pid = 0x4142434445464748
+    link = FrameLink()
+    got = capture(link)
+    m = build_machine("kern", "bypass", SUT_ENDPOINT, link=link, process_id=pid)
+    dev = m.kernel.device("e1000e")
+    last = m.table.by_name(f"RXBUF[{RING_SIZE - 1}]")
+    for buf in (derive_bounds(last, last.top - 1, 1),
+                derive_bounds(last, last.base, BUF_SIZE - 1)):
+        with pytest.raises(ApiError) as err:
+            m.kernel.ioctl_set_desc_addr(m.token, "tx", 0, buf)
+        assert err.value.code is ErrCode.DENIED
+        assert desc_addr(m, dev.dma.tx_ring, 0) == dev.dma.tx_buf(0)
+    frame = bytes(1514)
+    m.driver.send(frame)
+    assert [f for _, f in got[1]] == [frame]
+    assert pid.to_bytes(8, "little") not in got[1][0][1]
 
 
 def test_ioctl_argument_validation():

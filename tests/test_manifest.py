@@ -158,18 +158,21 @@ def test_shipped_register_manifest_is_valid():
 
 
 def test_shipped_dma_manifest_matches_kernel_layout():
-    m = data_manifest("e1000e-dma.manifest")
+    m = kernel.DMA_MANIFEST
     assert validate(m) == []
     assert m.bar_length == kernel.DMA_LENGTH
-    by_name = {r.name: r for r in expand(m)}
+    ranges = expand(m)
+    by_name = {r.name: r for r in ranges}
+    assert len(by_name) == len(ranges) == 4 * kernel.RING_SIZE
     for k in range(kernel.RING_SIZE):
         assert by_name[f"TXD_META[{k}]"].offset == kernel.DMA_TX_RING + k * 16 + 8
         assert by_name[f"RXD_META[{k}]"].offset == kernel.DMA_RX_RING + k * 16 + 8
         assert by_name[f"TXBUF[{k}]"].offset == kernel.DMA_TX_BUFS + k * kernel.BUF_SIZE
         assert by_name[f"RXBUF[{k}]"].offset == kernel.DMA_RX_BUFS + k * kernel.BUF_SIZE
-    # the descriptor address words are kernel-only
-    assert all(e.perm is PermClass.KERNEL
-               for e in m.entries if e.name.endswith("_ADDR"))
+    # every range is read-write, and no ring range reaches an address word
+    assert all(r.perm is PermClass.RW for r in ranges)
+    assert all(r.offset % 16 == 8 and r.size == 8
+               for r in ranges if r.offset < kernel.DMA_TX_BUFS)
 
 
 def test_shipped_example_manifest_matches_docs():

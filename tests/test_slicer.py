@@ -14,7 +14,8 @@ from capslice.capability import (
     seal,
     with_cursor,
 )
-from capslice.harness import data_manifest, manifest_reach_oracle, slice_standalone
+from capslice.harness import manifest_reach_oracle, slice_standalone
+from capslice.kernel import DMA_MANIFEST
 from capslice.manifest import parse, validate
 from capslice.physmem import PhysSpace
 from capslice.slicer import AUDIT_READ, AUDIT_WRITE, SliceTable, audit_reachability
@@ -75,7 +76,7 @@ def test_slice_rejects_manifest_bigger_than_root():
 def test_slices_never_carry_powerful_permissions():
     _, root = fresh_root(0x42000, perms=PERM_RW | Perm.LOAD_CAP | Perm.STORE_CAP
                          | Perm.SEAL | Perm.UNSEAL)
-    table = slicer.slice(root, data_manifest("e1000e-dma.manifest"))
+    table = slicer.slice(root, DMA_MANIFEST)
     banned = Perm.LOAD_CAP | Perm.STORE_CAP | Perm.SEAL | Perm.UNSEAL
     for name, cap in table:
         assert cap.perms & banned == Perm(0), name
@@ -84,7 +85,7 @@ def test_slices_never_carry_powerful_permissions():
 
 def test_ring_carving_shape():
     _, root = fresh_root(0x42000)
-    table = slicer.slice(root, data_manifest("e1000e-dma.manifest"))
+    table = slicer.slice(root, DMA_MANIFEST)
     metas = [cap for name, cap in table if name.startswith("TXD_META")]
     assert len(metas) == 64
     assert all(cap.length == 8 and cap.perms == PERM_RW for cap in metas)
