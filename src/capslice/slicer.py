@@ -135,8 +135,14 @@ def audit_reachability(table: SliceTable, bar_length: int,
     With exhaustive=False (default) slices whose own bounds metadata
     excludes an address are skipped, since check_access would fault them
     on exactly that comparison; every byte reported reachable was still
-    confirmed through check_access. exhaustive=True attempts every slice
-    at every byte regardless, for cross-validating the fast path.
+    confirmed through check_access, on a `with_cursor` copy of its slice.
+    exhaustive=True attempts every slice at every byte regardless, for
+    cross-validating the fast path. It probes by immediate offset from each
+    slice's cursor, as a CHERI capability-relative load does, so no probe
+    builds a capability. That form faults exactly where the `with_cursor`
+    form does, except that a tagged sealed slice faults SEAL_VIOLATION
+    rather than TAG_INVALID; the audit records only whether a probe
+    faulted, so the two paths check each other across both forms.
     """
     base = table.sealed_root.base
     caps = [cap for _, cap in table.slices]
@@ -150,7 +156,7 @@ def audit_reachability(table: SliceTable, bar_length: int,
             for need, bit in _AUDIT_NEEDS:
                 for cap in caps:
                     try:
-                        check_access(with_cursor(cap, addr), 1, need)
+                        check_access(cap, 1, need, addr - cap.cursor)
                     except CapFault:
                         continue
                     bits |= bit

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import pytest
 from conftest import capture
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from capslice import slicer
 from capslice.capability import (
@@ -18,20 +20,30 @@ from capslice.capability import (
     unseal,
     with_cursor,
 )
-from capslice.harness import BAR_BASE, SUT_ENDPOINT, build_machine
+from capslice.harness import (
+    BAR_BASE,
+    RAM_BASE,
+    RAM_LENGTH,
+    SPACE_SIZE,
+    SUT_ENDPOINT,
+    build_machine,
+    manifest_reach_oracle,
+)
 from capslice.kernel import (
     ApiError,
     BUF_SIZE,
     DESC_SIZE,
     DMA_LENGTH,
     ErrCode,
+    Kernel,
     RING_SIZE,
 )
-from capslice.manifest import PermClass, parse
+from capslice.manifest import Manifest, PermClass, Repeat, SliceEntry, expand, parse
 from capslice.nic import (
     BAR_LENGTH,
     PRIVILEGED,
     FrameLink,
+    NicModel,
     REG_RDT,
     REG_STATUS,
     REG_TCTL,
@@ -39,6 +51,8 @@ from capslice.nic import (
     REG_TDT,
     STATUS_LU,
 )
+from capslice.physmem import PhysSpace
+from capslice.slicer import SliceTable, audit_reachability
 
 
 def rig(mode="bypass"):
@@ -111,6 +125,83 @@ def test_stub_refuses_a_bar_manifest_that_fails_validate():
     assert err.value.detail == "CTRL and STATUS overlap at 0x8"
     with pytest.raises(ApiError):
         m.kernel.device("probe")
+
+
+# -- hostile policy --------------------------------------------------------------
+
+AUDITED = 0x4000  # every register lies below 0x3818 + 4
+
+
+@st.composite
+def bar_manifests(draw, max_entries=5):
+    # Random ranges, some on or next to a kernel-only register, some at or
+    # past the end of the BAR, with any class and optional repeats. Sound
+    # shapes are drawn more often than broken ones, so that a good share of
+    # the manifests is accepted and audited.
+    entries = []
+    for i in range(draw(st.integers(1, max_entries))):
+        where = draw(st.sampled_from(("free",) * 4 + ("privileged", "bar-end")))
+        if where == "free":
+            offset = draw(st.integers(0, AUDITED - 1))
+        elif where == "privileged":
+            offset = draw(st.sampled_from(PRIVILEGED)) + draw(st.integers(-8, 8))
+        else:
+            offset = BAR_LENGTH + draw(st.integers(-0x40, 0x40))
+        size = draw(st.integers(0, 0x40))
+        repeat = None
+        if draw(st.booleans()):
+            stride = draw(st.one_of(st.integers(size, size + 0x40), st.integers(0, 0x100)))
+            repeat = Repeat(draw(st.integers(1, 4)), stride)
+        entries.append(SliceEntry(f"R{i}", offset, size, draw(st.sampled_from(PermClass)),
+                                  repeat))
+    bar = draw(st.sampled_from((BAR_LENGTH,) * 3 + (AUDITED, BAR_LENGTH + 0x1000)))
+    return Manifest("e1000e", bar, tuple(entries))
+
+
+def _attach_and_map(m):
+    """The merged slice table a fresh machine's kernel hands out for `m`, or
+    None when `stub_attach` refuses `m`; any other error fails the test."""
+    space, authority = PhysSpace.create(SPACE_SIZE)
+    space.add_region(RAM_BASE, RAM_LENGTH, name="ram")
+    space.add_region(BAR_BASE, BAR_LENGTH, device=NicModel(), name="bar")
+    kernel = Kernel(space, authority, RAM_BASE, RAM_LENGTH)
+    try:
+        kernel.stub_attach("e1000e", BAR_BASE, m)
+    except ApiError as err:
+        assert err.code is ErrCode.BAD_ARGUMENT
+        return None
+    return kernel.map_mmio(kernel.attach(1000))
+
+
+def _reaches_no_privileged_byte(reach):
+    return not any(reach[off + i] for off in PRIVILEGED for i in range(4))
+
+
+@settings(deadline=None)
+@given(m=bar_manifests())
+def test_hostile_policy_is_refused_or_reaches_no_privileged_byte(m):
+    table = _attach_and_map(m)
+    if table is None:
+        return
+    reach = audit_reachability(table, AUDITED)
+    assert _reaches_no_privileged_byte(reach)
+    # The DMA slices reach nothing in the BAR, and the register slices what
+    # the manifest grants.
+    assert reach == manifest_reach_oracle(m, AUDITED)
+
+
+@settings(deadline=None, max_examples=3)
+@given(m=bar_manifests(max_entries=3))
+def test_hostile_policy_exhaustive_audit(m):
+    table = _attach_and_map(m)
+    granted = len(expand(m))
+    assume(table is not None and granted)
+    # Only the register slices: the 256 DMA slices lie outside the BAR, and
+    # probing each of them at every audited byte would take seconds.
+    regs = SliceTable(table.slices[:granted], table.sealed_root)
+    reach = audit_reachability(regs, AUDITED, exhaustive=True)
+    assert _reaches_no_privileged_byte(reach)
+    assert reach == audit_reachability(table, AUDITED)
 
 
 def test_stub_programs_the_whole_bar_under_a_short_manifest():

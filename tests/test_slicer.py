@@ -1,9 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capslice import slicer
 from capslice.capability import (
+    ADDR_TOP,
+    READ_MASK,
+    UNSEALED,
+    WRITE_MASK,
     CapFault,
     Capability,
     FaultKind,
@@ -236,3 +242,70 @@ def test_exhaustive_audit_formats_no_fault_text(monkeypatch):
     bits = audit_reachability(table, m.bar_length, exhaustive=True)
     assert bits == manifest_reach_oracle(m)
     assert any(b == AUDIT_READ for b in bits)  # the read-only slice is there
+
+
+def test_exhaustive_audit_builds_no_capability_per_probe(monkeypatch):
+    # The exhaustive audit probes by immediate offset from each slice's
+    # cursor; a probe that moved the cursor with with_cursor would raise here.
+    m = parse("device x\nbar 0x100\nreg CTRL 0x0 4 RW\nreg STATUS 0x8 4 RO\n"
+              "reg IMS 0xD0 4 KERNEL\nreg TDT 0xE0 4 RW\n")
+    table = slice_standalone(m)
+
+    def no_with_cursor(cap, cursor):
+        raise AssertionError("exhaustive audit built a capability to move a cursor")
+
+    monkeypatch.setattr(slicer, "with_cursor", no_with_cursor)
+    assert audit_reachability(table, m.bar_length, exhaustive=True) == manifest_reach_oracle(m)
+
+
+# Hostile slice values: the audited span starts at APERTURE, and slices may
+# start before it, end after it, or be empty.
+APERTURE = 0x100
+SPAN = 0x40
+
+@st.composite
+def hostile_slices(draw):
+    base = draw(st.integers(APERTURE - 0x10, APERTURE + SPAN + 0x10))
+    length = draw(st.integers(0, 0x30))
+    # Mostly outside the bounds; sometimes far enough that the immediate
+    # offset is hugely negative.
+    cursor = draw(st.one_of(st.integers(APERTURE - 0x20, APERTURE + SPAN + 0x20),
+                            st.integers(0, ADDR_TOP - 1)))
+    perms = draw(st.sampled_from((0, READ_MASK, WRITE_MASK, int(PERM_RW))))
+    if draw(st.booleans()):  # live, so that grants are common too
+        tag, otype = True, UNSEALED
+    else:
+        tag = draw(st.booleans())
+        otype = draw(st.one_of(st.sampled_from((slicer.SLICER_OTYPE, slicer.INTERFACE_OTYPE)),
+                               st.integers(0, UNSEALED)))
+    return Capability(base, length, cursor, perms, tag, otype)
+
+
+def _with_cursor_audit(table, length):
+    # The exhaustive loop as it was before immediate offsets: one moved
+    # capability per (byte, slice) probe.
+    base = table.sealed_root.base
+    bits = bytearray(length)
+    for b in range(length):
+        for need, bit in ((READ_MASK, AUDIT_READ), (WRITE_MASK, AUDIT_WRITE)):
+            for _, cap in table:
+                try:
+                    check_access(with_cursor(cap, base + b), 1, need)
+                except CapFault:
+                    continue
+                bits[b] |= bit
+                break
+    return bits
+
+
+@settings(deadline=None)
+@given(caps=st.lists(hostile_slices(), max_size=6))
+def test_audit_paths_agree_on_hostile_slice_values(caps):
+    # Untagged, sealed (where the two access forms fault with different
+    # kinds), empty, cursor-displaced and overlapping slices: the exhaustive
+    # audit, the fast path and the with_cursor loop must all agree.
+    root = Capability(APERTURE, SPAN, APERTURE, PERM_RW, True, slicer.SLICER_OTYPE)
+    table = SliceTable(tuple((f"S{i}", cap) for i, cap in enumerate(caps)), root)
+    literal = _with_cursor_audit(table, SPAN)
+    assert audit_reachability(table, SPAN, exhaustive=True) == literal
+    assert audit_reachability(table, SPAN) == literal
