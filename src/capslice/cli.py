@@ -141,7 +141,11 @@ def cmd_slice_dump(args: argparse.Namespace) -> int:
     m = _read_valid_manifest(args.manifest)
     if m is None:
         return 1
-    table = harness.slice_standalone(m)
+    try:
+        table = harness.slice_standalone(m)
+    except (OSError, OverflowError, MemoryError) as err:  # no space can hold the bar
+        print(f"error: {args.manifest}: cannot allocate the bar: {err}", file=sys.stderr)
+        return 1
     for name, cap in table:
         print(harness.format_slice_line(name, cap))
     return 0

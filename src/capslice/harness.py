@@ -170,19 +170,21 @@ class LoadGenerator:
         self.rtts: list[float] = []
         self.next_to_send = 0
         self.received = 0
-        self.outstanding = 0
         self.mismatches = 0
         self._send_scheduled = False
         self._drain_scheduled = False
 
     def start(self) -> None:
-        self._schedule_send(self.machine.space.clock)
+        self._schedule_send()
 
-    def _schedule_send(self, at: float) -> None:
+    def _schedule_send(self) -> None:
         if self._send_scheduled or self.next_to_send >= len(self.payloads):
             return
-        if self.outstanding >= self.window:
+        if self.next_to_send - self.received >= self.window:
             return
+        at = self.machine.space.clock
+        if self.send_times:
+            at = max(at, self.send_times[-1] + self.delay_ns)
         self._send_scheduled = True
         self.loop.schedule(at, self._send)
 
@@ -198,8 +200,7 @@ class LoadGenerator:
         m.driver.send(frame)
         self.send_times.append(stamp)
         self.next_to_send = k + 1
-        self.outstanding += 1
-        self._schedule_send(max(m.space.clock, stamp + self.delay_ns))
+        self._schedule_send()
 
     def on_frame(self, arrival: float) -> None:
         if not self._drain_scheduled:
@@ -222,10 +223,7 @@ class LoadGenerator:
                 continue
             self.rtts.append(m.space.clock - self.send_times[k])
             self.received += 1
-            self.outstanding -= 1
-        if self.next_to_send < len(self.payloads):
-            base = self.send_times[self.next_to_send - 1] if self.next_to_send else m.space.clock
-            self._schedule_send(max(m.space.clock, base + self.delay_ns))
+        self._schedule_send()
 
 
 def wire_link(loop: EventLoop, link: FrameLink,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 from . import slicer
 from .capability import (
@@ -39,6 +39,7 @@ from .nic import (
     BUF_SIZE,
     DESC_DD,
     DESC_SIZE,
+    MAX_LINK_FRAME,
     PRIVILEGED,
     RCTL_EN,
     REG_RCTL,
@@ -169,7 +170,7 @@ class Rings:
     def send(self, frame: bytes) -> None:
         """Copy the frame into the next free transmit buffer, fill the
         descriptor, and write the tail register."""
-        if len(frame) > BUF_SIZE:
+        if len(frame) > MAX_LINK_FRAME:
             raise ApiError(ErrCode.BAD_ARGUMENT, f"frame of {len(frame)} bytes")
         space = self.space
         # TDH is kernel-only, so occupancy is tracked by polling the oldest
@@ -191,11 +192,8 @@ class Rings:
         self.tx_tail = (k + 1) % RING_SIZE
         space.store(self.tdt, 4, self.tx_tail)
 
-    def recv(self, enter: Optional[Callable[[], None]] = None,
-             copy_out: Optional[Callable[[int], None]] = None) -> list[bytes]:
-        """Drain every completed RX descriptor; one RDT write at the end. A
-        kernel caller charges each frame: `enter()` before reading it and
-        `copy_out(length)` after."""
+    def recv(self) -> list[bytes]:
+        """Drain every completed RX descriptor; one RDT write at the end."""
         space = self.space
         frames: list[bytes] = []
         while True:
@@ -203,12 +201,8 @@ class Rings:
             status = space.load(meta, 1, _STATUS)
             if not status & DESC_DD:
                 break
-            if enter is not None:
-                enter()
             length = space.load(meta, 2)
             frames.append(space.load_bytes(self.rx_bufs[self.rx_head], length))
-            if copy_out is not None:
-                copy_out(length)
             space.store(meta, 1, status & ~DESC_DD, _STATUS)
             self.rx_head = (self.rx_head + 1) % RING_SIZE
         if frames:
@@ -447,7 +441,7 @@ class Kernel:
         driver runs, over the kernel's own slices."""
         self.invocations += 1
         rings = self._rings(device)
-        if len(frame) > BUF_SIZE:  # refused at entry, before any charge
+        if len(frame) > MAX_LINK_FRAME:  # refused at entry, before any charge
             raise ApiError(ErrCode.BAD_ARGUMENT, f"frame of {len(frame)} bytes")
         self._charge_syscall_pair()
         self._charge_copy(len(frame))
@@ -456,13 +450,16 @@ class Kernel:
     def socket_recv(self, device: str) -> list[bytes]:
         """Kernel-mediated receive: drain completed RX descriptors.
 
-        One datagram costs one receive call, so each returned payload is
-        charged its own kernel entry/exit pair plus the extra
-        kernel-to-user copy; an empty drain still pays for the call that
-        found nothing.
+        One datagram costs one receive call, so after the drain each
+        returned payload is charged its own kernel entry/exit pair plus the
+        extra kernel-to-user copy; an empty drain still pays for the call
+        that found nothing.
         """
         self.invocations += 1
-        frames = self._rings(device).recv(self._charge_syscall_pair, self._charge_copy)
+        frames = self._rings(device).recv()
+        for frame in frames:
+            self._charge_syscall_pair()
+            self._charge_copy(len(frame))
         if not frames:
             self._charge_syscall_pair()
         return frames

@@ -163,6 +163,8 @@ def _expand_entry(entry: SliceEntry) -> list[ExpandedRange]:
 def validate(m: Manifest) -> list[str]:
     """Return every violation found (empty list means the manifest is sound)."""
     violations: list[str] = []
+    if m.bar_length < 1:
+        violations.append(f"bar length must be >= 1 (got {m.bar_length})")
     for e in m.entries:
         if e.size < 1:
             violations.append(f"{e.name}: size must be >= 1 (got {e.size})")

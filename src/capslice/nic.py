@@ -43,7 +43,7 @@ TCTL_EN = 0x02
 RCTL_EN = 0x02
 
 DESC_SIZE = 16
-BUF_SIZE = 2048       # bytes per descriptor buffer; longer frames are refused
+BUF_SIZE = 2048       # bytes per descriptor buffer
 DESC_DD = 0x01        # descriptor done, set by device only
 DESC_ERR = 0x02       # model's error mark for unusable TX descriptors
 
@@ -51,6 +51,7 @@ TX_CMD_EOP = 0x01
 TX_CMD_IFCS = 0x02
 TX_CMD_RS = 0x08
 
+# The one frame limit, from the driver's ring engine through the device to the link.
 MAX_LINK_FRAME = 1518
 
 # Kernel-only registers, 4 bytes each. Through any of them a driver could
@@ -171,27 +172,24 @@ class NicModel:
     def rx_ring(self) -> tuple[int, int]:
         return self._ring(REG_RDBAL, REG_RDBAH, REG_RDLEN)
 
-    def process_tx(self, space: PhysSpace) -> int:
+    def process_tx(self, space: PhysSpace) -> None:
         """Consume descriptors from head to tail, emitting frames on the link.
 
         Charges copy_per_byte_ns per transmitted byte to the space clock
         (the DMA read happens synchronously with the tail write).
         """
-        if not (self.regs[REG_TCTL] & TCTL_EN):
-            return 0
         base, count = self.tx_ring()
-        if count == 0:
-            return 0
+        if not self.regs[REG_TCTL] & TCTL_EN or count == 0:
+            return
         head = self.regs[REG_TDH] % count
         tail = self.regs[REG_TDT] % count
-        emitted = 0
         while head != tail:
             desc = base + head * DESC_SIZE
             raw = space.dma_read(desc, DESC_SIZE)
             addr = int.from_bytes(raw[0:8], "little")
             length = int.from_bytes(raw[8:10], "little")
             status = raw[12]
-            if length == 0 or length > BUF_SIZE:
+            if length == 0 or length > MAX_LINK_FRAME:
                 status |= DESC_DD | DESC_ERR  # unusable; skip but complete it
             else:
                 frame = space.dma_read(addr, length)
@@ -202,9 +200,7 @@ class NicModel:
                 status |= DESC_DD
             space.dma_write(desc + 12, bytes([status]))
             head = (head + 1) % count
-            emitted += 1
         self.regs[REG_TDH] = head
-        return emitted
 
     def deliver_frame(self, space: PhysSpace, frame: bytes) -> bool:
         """Device-side receive: DMA the frame into the next free descriptor.
@@ -212,14 +208,9 @@ class NicModel:
         Runs at frame arrival time and charges no CPU clock; the device
         works in parallel with the processors.
         """
-        if len(frame) > BUF_SIZE:
-            self.counters.rx_dropped += 1
-            return False
-        if not (self.regs[REG_RCTL] & RCTL_EN):
-            self.counters.rx_dropped += 1
-            return False
         base, count = self.rx_ring()
-        if count == 0:
+        # too long for the link, receiver disabled, or no ring
+        if len(frame) > MAX_LINK_FRAME or not self.regs[REG_RCTL] & RCTL_EN or count == 0:
             self.counters.rx_dropped += 1
             return False
         head = self.regs[REG_RDH] % count

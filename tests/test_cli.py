@@ -32,6 +32,25 @@ def test_slice_dump_format(capsys):
     assert not any(line.startswith("IMS") for line in lines)
 
 
+def test_unusable_bar_length_exits_1(tmp_path, capsys):
+    # A bar below 1 byte fails validation. The huge one validates, but no
+    # space can hold it: mmap refuses it before allocating anything.
+    path = tmp_path / "bar.manifest"
+    for bar in ("0", "-0x10"):
+        path.write_text(f"device x\nbar {bar}\n")
+        for cmd in ("validate", "slice-dump"):
+            assert main([cmd, str(path)]) == 1, (cmd, bar)
+            out = capsys.readouterr().out
+            assert out.startswith("violation: bar length must be >= 1"), (cmd, bar)
+    path.write_text("device x\nbar 0x7fffffffffffffff\n")
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["slice-dump", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: cannot allocate") and not captured.out
+    assert "Traceback" not in captured.err
+
+
 def test_audit_writes_report(tmp_path, capsys):
     assert main(["audit", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out

@@ -18,6 +18,9 @@ cost table. Swapping two adjacent charges almost never shows: small costs
 added to the clock round the same in either order unless a partial sum
 crosses a power of two.
 
+The isolation suite's report, the text `capslice audit` writes to
+audit.txt, is pinned by its digest as well.
+
 Bring-up is pinned on its own: for `build_machine` in both modes, under
 both cost tables, the clock, the NIC's counters and registers, the bytes
 and tags of memory, and every slice's fields must equal values recorded
@@ -34,7 +37,8 @@ from pathlib import Path
 import pytest
 
 from capslice.harness import (MODE_BYPASS, MODE_MEDIATED, SUT_ENDPOINT, SweepConfig,
-                              SweepResult, build_machine, results_csv, run_cell)
+                              SweepResult, build_machine, results_csv, run_cell,
+                              run_isolation_suite)
 from capslice.physmem import AccessCostTable
 
 PINS = Path(__file__).resolve().parent.parent / "perfbench" / "pins.json"
@@ -70,6 +74,14 @@ def test_non_dyadic_costs_reproduce_recorded_rows():
              for mode in cfg.modes]
     text = results_csv(SweepResult(cells, [], []))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == NON_DYADIC_SHA256
+
+
+AUDIT_TXT_SHA256 = "4d798f46dfde9bfae239a5b5d2ca7824992130d1b2c71267ae43c06dd11b6ee3"
+
+
+def test_audit_report_matches_recorded_digest():
+    text = run_isolation_suite().render()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == AUDIT_TXT_SHA256
 
 
 def _sha256(data: bytes) -> str:

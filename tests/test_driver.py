@@ -12,7 +12,8 @@ from capslice.harness import (
 )
 from capslice.kernel import ApiError, ErrCode, RING_SIZE
 from capslice.netstack import encode_udp
-from capslice.nic import BAR_LENGTH, FrameLink, REG_TCTL, REG_TDT
+from capslice.nic import (BAR_LENGTH, DESC_DD, DESC_ERR, MAX_LINK_FRAME, FrameLink, REG_TCTL,
+                          REG_TDT)
 from capslice.physmem import AccessCostTable
 from capslice.slicer import AUDIT_READ, AUDIT_WRITE, audit_reachability
 
@@ -143,6 +144,58 @@ def test_mediated_send_costs_more_than_bypass():
     costs = sut_m.space.costs
     assert delta == pytest.approx(2 * costs.syscall_ns
                                   + len(frame) * costs.copy_per_byte_ns)
+
+
+def test_mediated_recv_costs_more_than_bypass():
+    # The socket path charges after the drain: per returned frame one
+    # entry/exit pair plus the kernel-to-user copy, and one pair for an
+    # empty drain. The default costs are dyadic, so the sums are exact.
+    frames = [encode_udp(PEER_ENDPOINT, SUT_ENDPOINT, bytes(n)) for n in (1, 200, 1472)]
+    costs = {}
+    for mode in ("bypass", "mediated"):
+        sut, peer, got = pair(mode)
+        recv = sut.driver.poll_recv if mode == "bypass" else sut.driver.mediated_recv
+        t0 = sut.space.clock
+        assert recv() == []
+        empty = sut.space.clock - t0
+        for f in frames:
+            peer.driver.send(f)
+        pump(got, 0, sut)
+        t0 = sut.space.clock
+        assert recv() == frames
+        costs[mode] = (empty, sut.space.clock - t0)
+    c = AccessCostTable()
+    assert costs["mediated"][0] - costs["bypass"][0] == 2 * c.syscall_ns
+    assert costs["mediated"][1] - costs["bypass"][1] == (
+        len(frames) * 2 * c.syscall_ns + c.copy_per_byte_ns * sum(map(len, frames)))
+
+
+@pytest.mark.parametrize("mode", ["bypass", "mediated"])
+def test_send_longer_than_link_frame_is_refused(mode):
+    sut, _, got = pair(mode)
+    send = sut.driver.send if mode == "bypass" else sut.driver.mediated_send
+    clock, tdt, sent = sut.space.clock, sut.nic.regs[REG_TDT], sut.nic.counters.tx_frames
+    with pytest.raises(ApiError) as err:
+        send(bytes(MAX_LINK_FRAME + 1))
+    assert err.value.code is ErrCode.BAD_ARGUMENT
+    assert (sut.space.clock, sut.nic.regs[REG_TDT], sut.nic.counters.tx_frames) == (
+        clock, tdt, sent)
+    # The ring is not wedged, and a frame of exactly the limit goes out.
+    send(bytes(64))
+    send(bytes(MAX_LINK_FRAME))
+    assert [f for _, f in got[1]] == [bytes(64), bytes(MAX_LINK_FRAME)]
+
+
+def test_driver_descriptor_longer_than_link_frame_completes_with_error():
+    # A hostile driver fills a descriptor through its own slices; the device
+    # must neither raise through the TDT store nor put the frame on the link.
+    sut, _, got = pair()
+    meta, tdt = sut.table.by_name("TXD_META[0]"), sut.table.by_name("TDT")
+    sut.space.store(meta, 2, MAX_LINK_FRAME + 1)
+    sut.space.store(tdt, 4, 1)
+    assert sut.space.load(meta, 1, 4) == DESC_DD | DESC_ERR
+    assert sut.nic.counters.tx_frames == 0
+    assert got[1] == []
 
 
 def test_cost_degeneracy_when_kernel_is_free():

@@ -11,6 +11,7 @@ from capslice.nic import (
     DESC_ERR,
     DESC_SIZE,
     FrameLink,
+    MAX_LINK_FRAME,
     NicModel,
     REG_IMS,
     REG_RDH,
@@ -123,14 +124,16 @@ def test_process_tx_wraparound():
 def test_bad_length_descriptor_skipped_with_error():
     m, dev, got = rig()
     wr_desc(m, dev, dev.dma.tx_ring, 0, dev.dma.tx_buf(0), 0)        # zero length
-    wr_desc(m, dev, dev.dma.tx_ring, 1, dev.dma.tx_buf(1), 4000)    # too long
-    mmio(m, dev, REG_TDT, 2)
+    wr_desc(m, dev, dev.dma.tx_ring, 1, dev.dma.tx_buf(1), 4000)    # longer than a buffer
+    # fits the buffer, but is longer than the link carries
+    wr_desc(m, dev, dev.dma.tx_ring, 2, dev.dma.tx_buf(2), MAX_LINK_FRAME + 1)
+    mmio(m, dev, REG_TDT, 3)
     assert m.nic.counters.tx_frames == 0
     assert got[1] == []
-    for k in (0, 1):
+    for k in (0, 1, 2):
         status = rd_status(m, dev.dma.tx_ring, k)
         assert status & DESC_DD and status & DESC_ERR
-    assert mmio(m, dev, REG_TDH) == 2  # ring does not wedge
+    assert mmio(m, dev, REG_TDH) == 3  # ring does not wedge
 
 
 def test_deliver_frame_fills_descriptor():
@@ -167,9 +170,12 @@ def test_deliver_ring_full_drops():
 
 def test_oversize_frame_dropped():
     m, dev, _ = rig()
-    assert not m.nic.deliver_frame(m.space, bytes(2049))
-    assert m.nic.counters.rx_dropped == 1
+    # longer than a buffer, then longer than the link carries
+    for dropped, size in enumerate((2049, MAX_LINK_FRAME + 1), start=1):
+        assert not m.nic.deliver_frame(m.space, bytes(size))
+        assert m.nic.counters.rx_dropped == dropped
     assert m.nic.counters.rx_frames == 0
+    assert mmio(m, dev, REG_RDH) == 0
 
 
 def test_mmio_access_counters():
