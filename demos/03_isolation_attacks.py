@@ -16,7 +16,7 @@ from capslice.nic import FrameLink
 from capslice import slicer
 
 m = build_machine("victim", "bypass", SUT_ENDPOINT, link=FrameLink())
-dev = m.kernel.device("e1000e")
+dev = m.kernel.dev
 print(f"machine up: {len(m.table)} slices mapped, device at {dev.bar_base:#x}\n")
 
 

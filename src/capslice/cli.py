@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands:
-    validate <manifest>      parse + validate, list every violation; an
-                             e1000e manifest is also checked against the
-                             device (the BAR length, kernel-only registers)
+    validate <manifest>      parse + validate, list every violation; then the
+                             kernel's attach check against the device (its
+                             `device` line, the BAR length, kernel-only registers)
     slice-dump <manifest>    print the slice table the manifest carves
     audit                    run the isolation suite, write audit.txt
     sweep                    run the latency sweep, write results.csv
@@ -126,8 +126,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     m = _read_valid_manifest(args.manifest)
     if m is None:
         return 1
-    # A manifest written for the e1000e is also held to the device's truth.
-    problems = device_truth_violations(m) if m.device_name == "e1000e" else []
+    problems = device_truth_violations(m)
     for p in problems:
         print(f"violation: {p}")
     if problems:

@@ -52,7 +52,7 @@ class Driver:
     # -- kernel-mediated path ---------------------------------------------------
 
     def mediated_send(self, frame: bytes) -> None:
-        self.kernel.socket_send("e1000e", frame)
+        self.kernel.socket_send(frame)
 
     def mediated_recv(self) -> list[bytes]:
-        return self.kernel.socket_recv("e1000e")
+        return self.kernel.socket_recv()

@@ -79,8 +79,7 @@ def build_machine(name: str, mode: str, endpoint: UdpEndpoint,
     if link is not None:
         nic.connect(link)
 
-    kernel = Kernel(space, authority, RAM_BASE, RAM_LENGTH)
-    kernel.stub_attach("e1000e", BAR_BASE, bar_manifest)
+    kernel = Kernel(space, authority, RAM_BASE, RAM_LENGTH, BAR_BASE, bar_manifest)
 
     token = None
     table = None
@@ -495,7 +494,7 @@ def run_isolation_suite(bar_manifest: Optional[Manifest] = None) -> IsolationRep
     record("ims-not-sliced", "IMS" not in m.table.names(), "kernel-only register withheld")
 
     # (c) No driver-held capability reaches a descriptor address field.
-    dev = m.kernel.device("e1000e")
+    dev = m.kernel.dev
     target = dev.dma.tx_ring  # descriptor 0's address word
     holes = []
     for name, cap in m.table:

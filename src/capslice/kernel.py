@@ -1,11 +1,14 @@
 """The trusted side: device interface and e1000e kernel stub.
 
+A kernel is built with its one e1000e, and no call takes a device name:
+the BAR manifest's `device` line names the device, and bring-up refuses
+any name but `nic.DEVICE_NAME`.
+
 The kernel owns the root capabilities. Userspace gets exactly three
-things from it: a sealed attach token, a slice table carved per the
-registered BAR manifest and the kernel's own DMA carving, and one
-privileged ioctl for rewriting descriptor buffer addresses. Everything
-else is denied, and denials provably touch neither the device nor DMA
-memory.
+things from it: a sealed attach token, a slice table carved per the BAR
+manifest and the kernel's own DMA carving, and one privileged ioctl for
+rewriting descriptor buffer addresses. Everything else is denied, and
+denials provably touch neither the device nor DMA memory.
 
 The descriptor-ring engine `Rings` is the one data plane under two
 control paths: the bypass driver runs it over its slices, and the
@@ -39,6 +42,7 @@ from .nic import (
     BUF_SIZE,
     DESC_DD,
     DESC_SIZE,
+    DEVICE_NAME,
     MAX_LINK_FRAME,
     PRIVILEGED,
     RCTL_EN,
@@ -72,6 +76,8 @@ DMA_TX_BUFS = 0x2000
 DMA_RX_BUFS = DMA_TX_BUFS + RING_SIZE * BUF_SIZE
 DMA_LENGTH = DMA_RX_BUFS + RING_SIZE * BUF_SIZE  # 0x42000
 
+_DEVICE_ID = 1  # the attach record's second word: the kernel's one device
+
 # Offsets of a descriptor's cmd and status bytes from its length field.
 _CMD = 3
 _STATUS = 4
@@ -91,7 +97,6 @@ DMA_MANIFEST = Manifest("e1000e-dma", DMA_LENGTH, tuple(
 class ErrCode(Enum):
     DENIED = "denied"
     BUSY = "busy"
-    NO_SUCH_DEVICE = "no such device"
     BAD_ARGUMENT = "bad argument"
 
 
@@ -107,6 +112,12 @@ class ApiError(Exception):
     def __reduce__(self):
         # `args` holds only the message; rebuild from the code and detail.
         return type(self), (self.code, self.detail)
+
+
+def _refuse_unsendable(frame: bytes) -> None:
+    """The device sends 1 to `MAX_LINK_FRAME` bytes; refuse any other frame."""
+    if not 0 < len(frame) <= MAX_LINK_FRAME:
+        raise ApiError(ErrCode.BAD_ARGUMENT, f"frame of {len(frame)} bytes")
 
 
 @dataclass
@@ -170,8 +181,7 @@ class Rings:
     def send(self, frame: bytes) -> None:
         """Copy the frame into the next free transmit buffer, fill the
         descriptor, and write the tail register."""
-        if len(frame) > MAX_LINK_FRAME:
-            raise ApiError(ErrCode.BAD_ARGUMENT, f"frame of {len(frame)} bytes")
+        _refuse_unsendable(frame)
         space = self.space
         # TDH is kernel-only, so occupancy is tracked by polling the oldest
         # in-flight descriptor for the DD bit the device sets on completion.
@@ -213,10 +223,13 @@ class Rings:
 def device_truth_violations(bar_manifest: Manifest) -> list[str]:
     """Where a BAR manifest disagrees with the e1000e device, one line each.
 
-    It must fit the BAR and grant no byte of a kernel-only register
-    (`nic.PRIVILEGED`). `stub_attach` refuses a manifest with any
-    violation; `capslice validate` lists them."""
+    It must name the device (`nic.DEVICE_NAME`), fit the BAR and grant no
+    byte of a kernel-only register (`nic.PRIVILEGED`). `stub_attach`
+    refuses a manifest with any violation; `capslice validate` lists them."""
     problems: list[str] = []
+    if bar_manifest.device_name != DEVICE_NAME:
+        problems.append(f"BAR manifest is for device {bar_manifest.device_name!r},"
+                        f" the device is {DEVICE_NAME!r}")
     if bar_manifest.bar_length > BAR_LENGTH:
         problems.append(f"BAR manifest covers {bar_manifest.bar_length:#x},"
                         f" the BAR is {BAR_LENGTH:#x}")
@@ -231,7 +244,6 @@ def device_truth_violations(bar_manifest: Manifest) -> list[str]:
 @dataclass
 class AttachRecord:
     process_id: int
-    device: str
     mapped: bool = False
 
 
@@ -246,10 +258,10 @@ class DeviceState:
 
 
 class Kernel:
-    """Interface + stub for one machine. Holds the root authority."""
+    """Interface + stub for one machine and its one device. Holds the root authority."""
 
     def __init__(self, space: PhysSpace, authority: RootAuthority,
-                 priv_base: int, priv_length: int):
+                 priv_base: int, priv_length: int, bar_base: int, bar_manifest: Manifest):
         self.space = space
         self._authority = authority
         self._priv_root = authority.issue_root(
@@ -257,15 +269,14 @@ class Kernel:
             Perm.READ | Perm.WRITE | Perm.LOAD_CAP | Perm.STORE_CAP)
         self._alloc_next = priv_base
         self._alloc_end = priv_base + priv_length
-        self._devices: dict[str, DeviceState] = {}
         self._records: dict[int, AttachRecord] = {}
-        self._device_ids: dict[str, int] = {}
         self.invocations = 0
+        self.stub_attach(bar_base, bar_manifest)
 
     # -- kernel-private allocator ---------------------------------------------
 
-    def _alloc(self, size: int, align: int = 16) -> int:
-        addr = (self._alloc_next + align - 1) // align * align
+    def _alloc(self, size: int) -> int:
+        addr = (self._alloc_next + 15) // 16 * 16
         if addr + size > self._alloc_end:
             raise ApiError(ErrCode.BUSY, "kernel memory exhausted")
         self._alloc_next = addr + size
@@ -276,15 +287,16 @@ class Kernel:
 
     # -- stub: probe/attach ------------------------------------------------
 
-    def stub_attach(self, name: str, bar_base: int, bar_manifest: Manifest) -> None:
+    def stub_attach(self, bar_base: int, bar_manifest: Manifest) -> None:
         """Bring the device up: allocate DMA memory, program and preload the
         rings, enable TX/RX, and register the BAR manifest with the interface.
+        The constructor calls it; a second call is refused as busy.
 
-        A BAR manifest that fails `validate()` or would hand userspace a
-        kernel-only register byte is refused before anything is issued. The
-        DMA region is carved by `DMA_MANIFEST`."""
-        if name in self._devices:
-            raise ApiError(ErrCode.BUSY, f"{name} already attached")
+        A BAR manifest that fails `validate()`, names another device or would
+        hand userspace a kernel-only register byte is refused before anything
+        is issued. The DMA region is carved by `DMA_MANIFEST`."""
+        if hasattr(self, "dev"):
+            raise ApiError(ErrCode.BUSY, f"{DEVICE_NAME} already attached")
         problems = validate(bar_manifest) or device_truth_violations(bar_manifest)
         if problems:
             raise ApiError(ErrCode.BAD_ARGUMENT, problems[0])
@@ -292,7 +304,7 @@ class Kernel:
         # The stub programs the whole device, so its root spans the BAR, not
         # just the part the manifest describes.
         mmio_root = self._authority.issue_root(bar_base, BAR_LENGTH, PERM_RW)
-        dma_base = self._alloc(DMA_LENGTH, align=16)
+        dma_base = self._alloc(DMA_LENGTH)
         dma_root = self._authority.issue_root(dma_base, DMA_LENGTH, PERM_RW)
         dma = DmaLayout(dma_base)
 
@@ -326,30 +338,21 @@ class Kernel:
         # Hand the device all but one RX descriptor (head == tail means empty).
         reg(REG_RDT, RING_SIZE - 1)
 
-        self._device_ids[name] = len(self._device_ids) + 1
-        self._devices[name] = DeviceState(
+        self.dev = DeviceState(
             bar_base=bar_base, bar_manifest=bar_manifest,
             mmio_root=mmio_root, dma_root=dma_root, dma=dma)
 
-    def device(self, name: str) -> DeviceState:
-        try:
-            return self._devices[name]
-        except KeyError:
-            raise ApiError(ErrCode.NO_SUCH_DEVICE, name) from None
-
     # -- interface: token-gated entry points ---------------------------------
 
-    def attach(self, process_id: int, device: str = "e1000e") -> Capability:
+    def attach(self, process_id: int) -> Capability:
         """Mint a sealed attach token bound to {process, device}."""
         self.invocations += 1
-        if device not in self._devices:
-            raise ApiError(ErrCode.NO_SUCH_DEVICE, device)
-        rec_addr = self._alloc(16, align=16)
+        rec_addr = self._alloc(16)
         self.space.store(self._priv_at(rec_addr), 8, process_id)
-        self.space.store(self._priv_at(rec_addr + 8), 8, self._device_ids[device])
+        self.space.store(self._priv_at(rec_addr + 8), 8, _DEVICE_ID)
         record_cap = restrict_perms(
             derive_bounds(self._priv_root, rec_addr, 16), Perm.READ)
-        self._records[rec_addr] = AttachRecord(process_id, device)
+        self._records[rec_addr] = AttachRecord(process_id)
         return seal(record_cap, _INTERFACE_AUTHORITY)
 
     def _verify_token(self, token: Capability) -> AttachRecord:
@@ -364,7 +367,7 @@ class Kernel:
         # whose cursor is the record's base.
         pid = self.space.load(opened, 8)
         dev_id = self.space.load(opened, 8, 8)
-        if pid != record.process_id or dev_id != self._device_ids[record.device]:
+        if pid != record.process_id or dev_id != _DEVICE_ID:
             raise ApiError(ErrCode.DENIED, "attach record corrupted")
         return record
 
@@ -378,9 +381,8 @@ class Kernel:
         record = self._verify_token(token)
         if record.mapped:
             raise ApiError(ErrCode.DENIED, "already mapped once for this attach")
-        dev = self._devices[record.device]
-        regs_table = slicer.slice(dev.mmio_root, dev.bar_manifest)
-        dma_table = slicer.slice(dev.dma_root, DMA_MANIFEST)
+        regs_table = slicer.slice(self.dev.mmio_root, self.dev.bar_manifest)
+        dma_table = slicer.slice(self.dev.dma_root, DMA_MANIFEST)
         record.mapped = True
         return slicer.SliceTable(
             slices=regs_table.slices + dma_table.slices,
@@ -397,8 +399,8 @@ class Kernel:
         denied with the descriptor untouched.
         """
         self.invocations += 1
-        record = self._verify_token(token)
-        dev = self._devices[record.device]
+        self._verify_token(token)
+        dev = self.dev
         if queue not in ("tx", "rx"):
             raise ApiError(ErrCode.BAD_ARGUMENT, f"queue {queue!r}")
         if not 0 <= index < RING_SIZE:
@@ -425,9 +427,9 @@ class Kernel:
     def _charge_copy(self, count: int) -> None:
         self.space.advance(self.space.costs.copy_per_byte_ns * count)
 
-    def _rings(self, device: str) -> Rings:
+    def _rings(self) -> Rings:
         # Built by the first socket call, so that bring-up does none of this work.
-        dev = self.device(device)
+        dev = self.dev
         if dev.rings is None:
             dev.rings = Rings.over(
                 self.space, slicer.slice(dev.dma_root, DMA_MANIFEST),
@@ -435,19 +437,18 @@ class Kernel:
                 with_cursor(dev.mmio_root, dev.bar_base + REG_RDT))
         return dev.rings
 
-    def socket_send(self, device: str, frame: bytes) -> None:
+    def socket_send(self, frame: bytes) -> None:
         """Kernel-mediated transmit: two ring crossings plus one extra
         user-to-kernel payload copy, then the same ring engine the bypass
         driver runs, over the kernel's own slices."""
         self.invocations += 1
-        rings = self._rings(device)
-        if len(frame) > MAX_LINK_FRAME:  # refused at entry, before any charge
-            raise ApiError(ErrCode.BAD_ARGUMENT, f"frame of {len(frame)} bytes")
+        rings = self._rings()
+        _refuse_unsendable(frame)  # at entry, before any charge
         self._charge_syscall_pair()
         self._charge_copy(len(frame))
         rings.send(frame)
 
-    def socket_recv(self, device: str) -> list[bytes]:
+    def socket_recv(self) -> list[bytes]:
         """Kernel-mediated receive: drain completed RX descriptors.
 
         One datagram costs one receive call, so after the drain each
@@ -456,7 +457,7 @@ class Kernel:
         that found nothing.
         """
         self.invocations += 1
-        frames = self._rings(device).recv()
+        frames = self._rings().recv()
         for frame in frames:
             self._charge_syscall_pair()
             self._charge_copy(len(frame))

@@ -35,6 +35,7 @@ REG_TDLEN = 0x3808
 REG_TDH = 0x3810
 REG_TDT = 0x3818
 
+DEVICE_NAME = "e1000e"  # the name a BAR manifest's `device` line must give
 BAR_LENGTH = 0x20000  # 128 KiB aperture; largest register offset is 0x3818
 
 STATUS_FD = 0x01      # full duplex
@@ -138,10 +139,7 @@ class NicModel:
             if self.link is not None:
                 status |= STATUS_LU
             return status
-        if offset == REG_ICR:
-            return 0  # interrupts are not modeled; reading clears nothing
-        if offset == REG_IMS:
-            return self.regs[REG_IMS]
+        # ICR writes are dropped, so it reads 0: interrupts are not modeled.
         return self.regs.get(offset, 0)
 
     def mmio_write(self, space: PhysSpace, offset: int, width: int, value: int) -> None:

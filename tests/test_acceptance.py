@@ -136,7 +136,7 @@ def test_criterion_4_token_provenance():
     """Minted tokens work; forged, mistyped, and unsealed ones are denied
     with zero device mutation."""
     m = build_machine("sut", MODE_MEDIATED, SUT_ENDPOINT, link=FrameLink())
-    dev = m.kernel.device("e1000e")
+    dev = m.kernel.dev
 
     token = m.kernel.attach(31337)
     table = m.kernel.map_mmio(token)
@@ -173,7 +173,7 @@ def test_criterion_5_dma_containment():
     m = build_machine("sut", MODE_BYPASS, SUT_ENDPOINT, link=link)
     peer = build_machine("peer", MODE_BYPASS, PEER_ENDPOINT, link=link)
     got = capture(link)
-    dev = m.kernel.device("e1000e")
+    dev = m.kernel.dev
     token = m.token
     bufs = [m.table.by_name(f"TXBUF[{k}]") for k in range(RING_SIZE)]
     frame = encode_udp(SUT_ENDPOINT, PEER_ENDPOINT, b"containment")

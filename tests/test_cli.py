@@ -33,8 +33,9 @@ def test_slice_dump_format(capsys):
 
 
 def test_unusable_bar_length_exits_1(tmp_path, capsys):
-    # A bar below 1 byte fails validation. The huge one validates, but no
-    # space can hold it: mmap refuses it before allocating anything.
+    # A bar below 1 byte fails validation. The huge one is shaped well, but
+    # it does not fit the device, and no space can hold it: mmap refuses it
+    # before allocating anything.
     path = tmp_path / "bar.manifest"
     for bar in ("0", "-0x10"):
         path.write_text(f"device x\nbar {bar}\n")
@@ -43,8 +44,9 @@ def test_unusable_bar_length_exits_1(tmp_path, capsys):
             out = capsys.readouterr().out
             assert out.startswith("violation: bar length must be >= 1"), (cmd, bar)
     path.write_text("device x\nbar 0x7fffffffffffffff\n")
-    assert main(["validate", str(path)]) == 0
-    capsys.readouterr()
+    assert main(["validate", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.startswith("violation: ") for line in lines)
     assert main(["slice-dump", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {path}: cannot allocate") and not captured.out
@@ -196,6 +198,7 @@ def test_validate_checks_device_truth(tmp_path, capsys):
     cases = [
         ("e1000e.manifest", r"^(reg TDBAL .*)KERNEL", r"\1RW", "TDBAL"),
         ("e1000e.manifest", r"^(reg ICR .*)KERNEL", r"\1RO", "ICR"),
+        ("e1000e.manifest", r"^device e1000e", "device virtio", "virtio"),
     ]
     for name, pattern, repl, detail in cases:
         text, n = re.subn(pattern, repl, (DATA / name).read_text(), flags=re.M)
@@ -223,6 +226,7 @@ def test_bar_manifest_the_stub_or_driver_cannot_use_exits_1(tmp_path, capsys):
                         "reg TDT 0x3818 4 RW\n", "outside bar"),
         "overlap": (overlap, "CTRL and STATUS overlap"),
         "tdt-read-only": (tdt_ro, "TDT"),
+        "other-device": (shipped.replace("device e1000e", "device virtio", 1), "virtio"),
     }
     for label, (text, detail) in cases.items():
         path = tmp_path / f"{label}.manifest"

@@ -52,7 +52,7 @@ def test_send_cannot_touch_descriptor_address_words():
 
 def test_sixty_fifth_send_without_completions_is_busy():
     sut, _, _ = pair()
-    dev = sut.kernel.device("e1000e")
+    dev = sut.kernel.dev
     # freeze the transmitter: descriptors are accepted but never complete
     sut.space.store(with_cursor(dev.mmio_root, dev.bar_base + REG_TCTL), 4, 0)
     frame = encode_udp(SUT_ENDPOINT, PEER_ENDPOINT, b"x")
@@ -87,7 +87,7 @@ def test_shadow_tail_matches_device_register(mode):
     frame = encode_udp(SUT_ENDPOINT, PEER_ENDPOINT, b"abc")
     for _ in range(5):
         send(frame)
-    dev = sut.kernel.device("e1000e")
+    dev = sut.kernel.dev
     rings = sut.driver.rings if mode == "bypass" else dev.rings
     tdt = sut.space.load(with_cursor(dev.mmio_root, dev.bar_base + REG_TDT), 4)
     assert tdt == rings.tx_tail == 5
@@ -175,11 +175,13 @@ def test_send_longer_than_link_frame_is_refused(mode):
     sut, _, got = pair(mode)
     send = sut.driver.send if mode == "bypass" else sut.driver.mediated_send
     clock, tdt, sent = sut.space.clock, sut.nic.regs[REG_TDT], sut.nic.counters.tx_frames
-    with pytest.raises(ApiError) as err:
-        send(bytes(MAX_LINK_FRAME + 1))
-    assert err.value.code is ErrCode.BAD_ARGUMENT
-    assert (sut.space.clock, sut.nic.regs[REG_TDT], sut.nic.counters.tx_frames) == (
-        clock, tdt, sent)
+    # The device sends no empty frame either, so it is refused as well.
+    for refused in (bytes(MAX_LINK_FRAME + 1), b""):
+        with pytest.raises(ApiError) as err:
+            send(refused)
+        assert err.value.code is ErrCode.BAD_ARGUMENT, len(refused)
+        assert (sut.space.clock, sut.nic.regs[REG_TDT], sut.nic.counters.tx_frames) == (
+            clock, tdt, sent), len(refused)
     # The ring is not wedged, and a frame of exactly the limit goes out.
     send(bytes(64))
     send(bytes(MAX_LINK_FRAME))

@@ -57,7 +57,15 @@ from capslice.slicer import SliceTable, audit_reachability
 
 def rig(mode="bypass"):
     m = build_machine("kern", mode, SUT_ENDPOINT, link=FrameLink())
-    return m, m.kernel.device("e1000e")
+    return m, m.kernel.dev
+
+
+def new_kernel(bar_manifest):
+    """A kernel on a fresh space, born with its device under `bar_manifest`."""
+    space, authority = PhysSpace.create(SPACE_SIZE)
+    space.add_region(RAM_BASE, RAM_LENGTH, name="ram")
+    space.add_region(BAR_BASE, BAR_LENGTH, device=NicModel(), name="bar")
+    return Kernel(space, authority, RAM_BASE, RAM_LENGTH, BAR_BASE, bar_manifest)
 
 
 def mmio_read(m, dev, offset):
@@ -96,7 +104,7 @@ def test_stub_initial_ring_registers():
 def test_double_attach_is_error():
     m, dev = rig()
     with pytest.raises(ApiError) as err:
-        m.kernel.stub_attach("e1000e", BAR_BASE, dev.bar_manifest)
+        m.kernel.stub_attach(BAR_BASE, dev.bar_manifest)
     assert err.value.code is ErrCode.BUSY
 
 
@@ -109,10 +117,8 @@ def test_stub_refuses_any_grant_of_a_privileged_register():
         for perm in (PermClass.RO, PermClass.RW):
             entries = tuple(replace(x, perm=perm) if x is e else x for x in shipped.entries)
             with pytest.raises(ApiError) as err:
-                m.kernel.stub_attach("probe", BAR_BASE, replace(shipped, entries=entries))
+                new_kernel(replace(shipped, entries=entries))
             assert err.value.code is ErrCode.BAD_ARGUMENT and e.name in str(err.value)
-    with pytest.raises(ApiError):
-        m.kernel.device("probe")
 
 
 def test_stub_refuses_a_bar_manifest_that_fails_validate():
@@ -120,11 +126,17 @@ def test_stub_refuses_a_bar_manifest_that_fails_validate():
     shipped = dev.bar_manifest
     entries = tuple(replace(e, size=12) if e.name == "CTRL" else e for e in shipped.entries)
     with pytest.raises(ApiError) as err:
-        m.kernel.stub_attach("probe", BAR_BASE, replace(shipped, entries=entries))
+        new_kernel(replace(shipped, entries=entries))
     assert err.value.code is ErrCode.BAD_ARGUMENT
     assert err.value.detail == "CTRL and STATUS overlap at 0x8"
-    with pytest.raises(ApiError):
-        m.kernel.device("probe")
+
+
+def test_stub_refuses_a_bar_manifest_for_another_device():
+    # The manifest's `device` line is the one input that names the device.
+    m, dev = rig()
+    with pytest.raises(ApiError) as err:
+        new_kernel(replace(dev.bar_manifest, device_name="virtio"))
+    assert err.value.code is ErrCode.BAD_ARGUMENT and "virtio" in err.value.detail
 
 
 # -- hostile policy --------------------------------------------------------------
@@ -161,12 +173,8 @@ def bar_manifests(draw, max_entries=5):
 def _attach_and_map(m):
     """The merged slice table a fresh machine's kernel hands out for `m`, or
     None when `stub_attach` refuses `m`; any other error fails the test."""
-    space, authority = PhysSpace.create(SPACE_SIZE)
-    space.add_region(RAM_BASE, RAM_LENGTH, name="ram")
-    space.add_region(BAR_BASE, BAR_LENGTH, device=NicModel(), name="bar")
-    kernel = Kernel(space, authority, RAM_BASE, RAM_LENGTH)
     try:
-        kernel.stub_attach("e1000e", BAR_BASE, m)
+        kernel = new_kernel(m)
     except ApiError as err:
         assert err.code is ErrCode.BAD_ARGUMENT
         return None
@@ -209,7 +217,7 @@ def test_stub_programs_the_whole_bar_under_a_short_manifest():
     # root spans the device's BAR, so bring-up and the socket path work.
     short = parse("device e1000e\nbar 0x100\nreg CTRL 0x0 4 RW\n")
     m = build_machine("kern", "mediated", SUT_ENDPOINT, link=FrameLink(), bar_manifest=short)
-    dev = m.kernel.device("e1000e")
+    dev = m.kernel.dev
     assert dev.mmio_root.length == BAR_LENGTH
     assert mmio_read(m, dev, REG_RDT) == RING_SIZE - 1
     m.driver.mediated_send(b"x" * 60)
@@ -226,8 +234,7 @@ def test_api_errors_survive_pickling():
     token = m.kernel.attach(1)
     raisers = {
         ErrCode.DENIED: lambda: m.kernel.map_mmio(dev.mmio_root),
-        ErrCode.BUSY: lambda: m.kernel.stub_attach("e1000e", BAR_BASE, dev.bar_manifest),
-        ErrCode.NO_SUCH_DEVICE: lambda: m.kernel.attach(1, device="virtio"),
+        ErrCode.BUSY: lambda: m.kernel.stub_attach(BAR_BASE, dev.bar_manifest),
         ErrCode.BAD_ARGUMENT: lambda: m.kernel.ioctl_set_desc_addr(token, "zz", 0,
                                                                    dev.mmio_root),
     }
@@ -252,13 +259,6 @@ def test_attach_token_is_sealed_and_recoverable():
     # the interface authority recovers {process, device}
     opened = unseal(token, make_otype_authority(slicer.INTERFACE_OTYPE))
     assert m.space.load(with_cursor(opened, opened.base), 8) == 4242
-
-
-def test_attach_unknown_device():
-    m, _ = rig()
-    with pytest.raises(ApiError) as err:
-        m.kernel.attach(1, device="virtio")
-    assert err.value.code is ErrCode.NO_SUCH_DEVICE
 
 
 def test_two_attaches_mint_distinct_tokens():
@@ -406,7 +406,7 @@ def test_ioctl_rejects_capability_shorter_than_a_buffer():
     link = FrameLink()
     got = capture(link)
     m = build_machine("kern", "bypass", SUT_ENDPOINT, link=link, process_id=pid)
-    dev = m.kernel.device("e1000e")
+    dev = m.kernel.dev
     last = m.table.by_name(f"RXBUF[{RING_SIZE - 1}]")
     for buf in (derive_bounds(last, last.top - 1, 1),
                 derive_bounds(last, last.base, BUF_SIZE - 1)):
@@ -481,18 +481,18 @@ def test_socket_path_echoes_bytes():
     b = build_machine("b", "mediated", SUT_ENDPOINT, link=link)
     got = capture(link)
     frame = bytes(range(64))
-    a.kernel.socket_send("e1000e", frame)
+    a.kernel.socket_send(frame)
     for _, f in got[1]:
         b.nic.deliver_frame(b.space, f)
-    assert b.kernel.socket_recv("e1000e") == [frame]
-    assert b.kernel.socket_recv("e1000e") == []
+    assert b.kernel.socket_recv() == [frame]
+    assert b.kernel.socket_recv() == []
 
 
 def test_socket_send_charges_syscalls_and_extra_copy():
     m, dev = rig("mediated")
     frame = bytes(200)
     t0 = m.space.clock
-    m.kernel.socket_send("e1000e", frame)
+    m.kernel.socket_send(frame)
     elapsed = m.space.clock - t0
     costs = m.space.costs
     # entry+exit, the user->kernel copy, the buffer copy, the device DMA
@@ -507,9 +507,9 @@ def test_socket_send_busy_when_ring_stalls():
     # freeze the transmitter so completions never arrive
     m.space.store(with_cursor(dev.mmio_root, dev.bar_base + REG_TCTL), 4, 0)
     for _ in range(RING_SIZE):
-        m.kernel.socket_send("e1000e", b"x" * 32)
+        m.kernel.socket_send(b"x" * 32)
     with pytest.raises(ApiError) as err:
-        m.kernel.socket_send("e1000e", b"x" * 32)
+        m.kernel.socket_send(b"x" * 32)
     assert err.value.code is ErrCode.BUSY
 
 

@@ -13,6 +13,7 @@ from capslice.nic import (
     FrameLink,
     MAX_LINK_FRAME,
     NicModel,
+    REG_ICR,
     REG_IMS,
     REG_RDH,
     REG_STATUS,
@@ -26,7 +27,7 @@ def rig():
     """Machine with kernel-side handles for poking rings directly."""
     link = FrameLink(delay_ns=100.0, wire_ns_per_byte=0.0)
     m = build_machine("dev", "bypass", SUT_ENDPOINT, link=link)
-    dev = m.kernel.device("e1000e")
+    dev = m.kernel.dev
     return m, dev, capture(link)
 
 
@@ -73,6 +74,9 @@ def test_unknown_offset_reads_zero():
     assert mmio(m, dev, 0x5000) == 0
     mmio(m, dev, 0x5000, 123)  # swallowed
     assert mmio(m, dev, 0x5000) == 0
+    # ICR drops writes too, since interrupts are not modeled.
+    mmio(m, dev, REG_ICR, 0xFFFFFFFF)
+    assert mmio(m, dev, REG_ICR) == 0
 
 
 def test_unlinked_nic_reports_link_down():
@@ -194,7 +198,7 @@ def test_frame_conservation_over_random_traffic():
     b = build_machine("b", "bypass", SUT_ENDPOINT, link=link)
     got = capture(link)
     rng = random.Random(99)
-    dev_a = a.kernel.device("e1000e")
+    dev_a = a.kernel.dev
     sent = 0
     for _ in range(300):
         if rng.random() < 0.7:
