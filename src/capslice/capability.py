@@ -175,12 +175,13 @@ def derive_bounds(parent: Capability, new_base: int, new_length: int) -> Capabil
     value, or derive from a sealed capability produces an untagged result
     rather than raising.
     """
+    top = new_base + new_length
     ok = (
         parent.tag
-        and not parent.sealed
+        and parent.otype == UNSEALED
         and new_base >= parent.base
-        and new_base + new_length <= parent.top
-        and new_base + new_length < ADDR_TOP
+        and top <= parent.base + parent.length
+        and top < ADDR_TOP
     )
     return Capability(new_base, new_length, new_base, parent.perms, ok)
 

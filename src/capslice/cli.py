@@ -40,16 +40,9 @@ def _add_cost_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _costs_from(args: argparse.Namespace) -> AccessCostTable:
-    costs = AccessCostTable()
-    if args.syscall_ns is not None:
-        costs.syscall_ns = args.syscall_ns
-    if args.mmio_ns is not None:
-        costs.mmio_access_ns = args.mmio_ns
-    if args.ram_ns is not None:
-        costs.ram_access_ns = args.ram_ns
-    if args.copy_ns_per_byte is not None:
-        costs.copy_per_byte_ns = args.copy_ns_per_byte
-    return costs
+    flags = {"syscall_ns": args.syscall_ns, "mmio_access_ns": args.mmio_ns,
+             "ram_access_ns": args.ram_ns, "copy_per_byte_ns": args.copy_ns_per_byte}
+    return AccessCostTable(**{field: v for field, v in flags.items() if v is not None})
 
 
 def _int_list(text: str) -> tuple[int, ...]:

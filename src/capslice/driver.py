@@ -39,7 +39,7 @@ class Driver:
                     raise ApiError(ErrCode.BAD_ARGUMENT, f"slice table grants no writable {name}")
                 return table[i]
 
-            self.rings = Rings.over(space, table, tail("TDT"), tail("RDT"))
+            self.rings = Rings.over(space, table, index, tail("TDT"), tail("RDT"))
 
     # -- bypass data path -----------------------------------------------------
 

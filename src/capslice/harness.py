@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Optional
 
@@ -282,10 +282,8 @@ def run_cell(cfg: SweepConfig, size: int, delay_us: int, mode: str) -> CellResul
     payloads = [rng.randbytes(size) for _ in range(cfg.trials)]
 
     link = FrameLink(delay_ns=cfg.link_ns, wire_ns_per_byte=cfg.wire_ns_per_byte)
-    sut = build_machine("sut", mode, SUT_ENDPOINT, replace(cfg.costs), link,
-                        cfg.bar_manifest)
-    peer = build_machine("peer", MODE_BYPASS, PEER_ENDPOINT, replace(cfg.costs), link,
-                         cfg.bar_manifest)
+    sut = build_machine("sut", mode, SUT_ENDPOINT, cfg.costs, link, cfg.bar_manifest)
+    peer = build_machine("peer", MODE_BYPASS, PEER_ENDPOINT, cfg.costs, link, cfg.bar_manifest)
 
     loop = EventLoop()
     echo = EchoServer(sut, loop)

@@ -166,14 +166,20 @@ class Rings:
     rx_head: int = 0  # RDT stays one behind, since head == tail means empty
 
     @classmethod
-    def over(cls, space: PhysSpace, table: slicer.SliceTable,
+    def over(cls, space: PhysSpace, table: slicer.SliceTable, index: dict[str, int],
              tdt: Capability, rdt: Capability) -> Rings:
-        """The engine over the slices `DMA_MANIFEST` carves, looked up by
-        name in `table`, and the given TDT/RDT capabilities."""
-        index = table.index_map()
+        """The engine over the slices `DMA_MANIFEST` carves in `table`, found
+        through `index` (the table's `index_map()`), and the given TDT/RDT
+        capabilities."""
+        last = RING_SIZE - 1
 
         def row(name: str) -> list[Capability]:
-            return [table[index[f"{name}[{k}]"]] for k in range(RING_SIZE)]
+            # Expansion emits an entry's repeats as one contiguous run.
+            first = index[f"{name}[0]"]
+            run = table.slices[first:first + RING_SIZE]
+            if len(run) != RING_SIZE or run[last][0] != f"{name}[{last}]":
+                raise KeyError(f"{name}[{last}]")
+            return [cap for _, cap in run]
 
         return cls(space, row("TXD_META"), row("TXBUF"), row("RXD_META"), row("RXBUF"),
                    tdt, rdt)
@@ -183,11 +189,12 @@ class Rings:
         descriptor, and write the tail register."""
         _refuse_unsendable(frame)
         space = self.space
+        load, store = space.load, space.store
         # TDH is kernel-only, so occupancy is tracked by polling the oldest
         # in-flight descriptor for the DD bit the device sets on completion.
         while self.tx_inflight > 0:
             meta = self.tx_meta[(self.tx_tail - self.tx_inflight) % RING_SIZE]
-            if not space.load(meta, 1, _STATUS) & DESC_DD:
+            if not load(meta, 1, _STATUS) & DESC_DD:
                 break
             self.tx_inflight -= 1
         if self.tx_inflight == RING_SIZE:
@@ -195,28 +202,29 @@ class Rings:
         k = self.tx_tail
         space.store_bytes(self.tx_bufs[k], frame)
         meta = self.tx_meta[k]
-        space.store(meta, 2, len(frame))
-        space.store(meta, 1, 0, _STATUS)  # clear DD
-        space.store(meta, 1, TX_CMD_EOP | TX_CMD_IFCS | TX_CMD_RS, _CMD)
+        store(meta, 2, len(frame))
+        store(meta, 1, 0, _STATUS)  # clear DD
+        store(meta, 1, TX_CMD_EOP | TX_CMD_IFCS | TX_CMD_RS, _CMD)
         self.tx_inflight += 1
         self.tx_tail = (k + 1) % RING_SIZE
-        space.store(self.tdt, 4, self.tx_tail)
+        store(self.tdt, 4, self.tx_tail)
 
     def recv(self) -> list[bytes]:
         """Drain every completed RX descriptor; one RDT write at the end."""
         space = self.space
+        load, store = space.load, space.store
         frames: list[bytes] = []
         while True:
             meta = self.rx_meta[self.rx_head]
-            status = space.load(meta, 1, _STATUS)
+            status = load(meta, 1, _STATUS)
             if not status & DESC_DD:
                 break
-            length = space.load(meta, 2)
+            length = load(meta, 2)
             frames.append(space.load_bytes(self.rx_bufs[self.rx_head], length))
-            space.store(meta, 1, status & ~DESC_DD, _STATUS)
+            store(meta, 1, status & ~DESC_DD, _STATUS)
             self.rx_head = (self.rx_head + 1) % RING_SIZE
         if frames:
-            space.store(self.rdt, 4, (self.rx_head - 1) % RING_SIZE)
+            store(self.rdt, 4, (self.rx_head - 1) % RING_SIZE)
         return frames
 
 
@@ -310,8 +318,10 @@ class Kernel:
 
         # Each root's cursor sits at its base, so register and descriptor
         # offsets are immediate offsets from it.
+        store = self.space.store
+
         def reg(off: int, val: int) -> None:
-            self.space.store(mmio_root, 4, val, off)
+            store(mmio_root, 4, val, off)
 
         ring_bytes = RING_SIZE * DESC_SIZE
         reg(REG_TDBAL, dma.tx_ring & 0xFFFFFFFF)
@@ -328,10 +338,10 @@ class Kernel:
         # path never needs the kernel to fix addresses.
         for k in range(RING_SIZE):
             tx, rx = DMA_TX_RING + k * DESC_SIZE, DMA_RX_RING + k * DESC_SIZE
-            self.space.store(dma_root, 8, dma.tx_buf(k), tx)
-            self.space.store(dma_root, 8, 0, tx + 8)
-            self.space.store(dma_root, 8, dma.rx_buf(k), rx)
-            self.space.store(dma_root, 8, 0, rx + 8)
+            store(dma_root, 8, dma.tx_buf(k), tx)
+            store(dma_root, 8, 0, tx + 8)
+            store(dma_root, 8, dma.rx_buf(k), rx)
+            store(dma_root, 8, 0, rx + 8)
 
         reg(REG_TCTL, TCTL_EN)
         reg(REG_RCTL, RCTL_EN)
@@ -431,8 +441,9 @@ class Kernel:
         # Built by the first socket call, so that bring-up does none of this work.
         dev = self.dev
         if dev.rings is None:
+            table = slicer.slice(dev.dma_root, DMA_MANIFEST)
             dev.rings = Rings.over(
-                self.space, slicer.slice(dev.dma_root, DMA_MANIFEST),
+                self.space, table, table.index_map(),
                 with_cursor(dev.mmio_root, dev.bar_base + REG_TDT),
                 with_cursor(dev.mmio_root, dev.bar_base + REG_RDT))
         return dev.rings

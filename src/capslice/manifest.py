@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .capability import PERM_NONE, PERM_RW, Perm
@@ -61,6 +62,15 @@ class Manifest:
     device_name: str
     bar_length: int
     entries: tuple[SliceEntry, ...]
+
+    @cached_property
+    def _expanded(self) -> tuple[ExpandedRange, ...]:
+        # A manifest is frozen, so it is expanded once, on the first `expand`.
+        out: list[ExpandedRange] = []
+        for e in self.entries:
+            if e.perm is not PermClass.KERNEL:
+                out.extend(_expand_entry(e))
+        return tuple(out)
 
 
 class ExpandedRange(NamedTuple):
@@ -204,11 +214,9 @@ def validate(m: Manifest) -> list[str]:
     return violations
 
 
-def expand(m: Manifest) -> list[ExpandedRange]:
-    """Expanded userspace ranges, manifest order; KERNEL entries are withheld."""
-    out: list[ExpandedRange] = []
-    for e in m.entries:
-        if e.perm is PermClass.KERNEL:
-            continue
-        out.extend(_expand_entry(e))
-    return out
+def expand(m: Manifest) -> tuple[ExpandedRange, ...]:
+    """Expanded userspace ranges, manifest order; KERNEL entries are withheld.
+
+    Each entry's repeats come out as one contiguous run. The tuple is
+    computed once per manifest and shared by every call."""
+    return m._expanded

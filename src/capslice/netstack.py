@@ -39,7 +39,11 @@ class UdpEndpoint:
     port: int
 
     def __post_init__(self):
-        assert len(self.mac) == 6 and len(self.ipv4) == 4
+        # Not an assert: under `python -O` it would vanish, and struct's 6s/4s
+        # would then pad or truncate a bad address without a word.
+        if len(self.mac) != 6 or len(self.ipv4) != 4:
+            raise ValueError(f"endpoint needs a 6-byte MAC and a 4-byte IPv4 address,"
+                             f" got {len(self.mac)} and {len(self.ipv4)} bytes")
 
 
 class Reject(Enum):

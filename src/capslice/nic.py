@@ -12,6 +12,7 @@ Register offsets beyond CTRL/STATUS/IMS/TDT follow the public Intel
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -47,6 +48,14 @@ DESC_SIZE = 16
 BUF_SIZE = 2048       # bytes per descriptor buffer
 DESC_DD = 0x01        # descriptor done, set by device only
 DESC_ERR = 0x02       # model's error mark for unusable TX descriptors
+
+# A legacy descriptor as the device reads it: the buffer address, the
+# length, bytes 10..11 (TX: CSO and CMD; RX: checksum) and the status byte.
+# The device writes back only the status on TX, and length, bytes 10..11 and
+# status on RX.
+_TX_DESC = struct.Struct("<QH2xB")       # address, length, status
+_RX_DESC = struct.Struct("<Q2x2sB")      # address, bytes 10..11, status
+_RX_WRITEBACK = struct.Struct("<H2sB")   # length, bytes 10..11, status
 
 TX_CMD_EOP = 0x01
 TX_CMD_IFCS = 0x02
@@ -159,34 +168,22 @@ class NicModel:
 
     # -- rings ----------------------------------------------------------------
 
-    def _ring(self, base_lo: int, base_hi: int, len_reg: int) -> tuple[int, int]:
-        base = (self.regs[base_hi] << 32) | self.regs[base_lo]
-        count = self.regs[len_reg] // DESC_SIZE
-        return base, count
-
-    def tx_ring(self) -> tuple[int, int]:
-        return self._ring(REG_TDBAL, REG_TDBAH, REG_TDLEN)
-
-    def rx_ring(self) -> tuple[int, int]:
-        return self._ring(REG_RDBAL, REG_RDBAH, REG_RDLEN)
-
     def process_tx(self, space: PhysSpace) -> None:
         """Consume descriptors from head to tail, emitting frames on the link.
 
         Charges copy_per_byte_ns per transmitted byte to the space clock
         (the DMA read happens synchronously with the tail write).
         """
-        base, count = self.tx_ring()
-        if not self.regs[REG_TCTL] & TCTL_EN or count == 0:
+        regs = self.regs
+        base = (regs[REG_TDBAH] << 32) | regs[REG_TDBAL]
+        count = regs[REG_TDLEN] // DESC_SIZE
+        if not regs[REG_TCTL] & TCTL_EN or count == 0:
             return
-        head = self.regs[REG_TDH] % count
-        tail = self.regs[REG_TDT] % count
+        head = regs[REG_TDH] % count
+        tail = regs[REG_TDT] % count
         while head != tail:
             desc = base + head * DESC_SIZE
-            raw = space.dma_read(desc, DESC_SIZE)
-            addr = int.from_bytes(raw[0:8], "little")
-            length = int.from_bytes(raw[8:10], "little")
-            status = raw[12]
+            addr, length, status = _TX_DESC.unpack_from(space.dma_read(desc, DESC_SIZE))
             if length == 0 or length > MAX_LINK_FRAME:
                 status |= DESC_DD | DESC_ERR  # unusable; skip but complete it
             else:
@@ -196,9 +193,9 @@ class NicModel:
                     self.link.transmit(self.link_endpoint, frame, space.clock)
                 self.counters.tx_frames += 1
                 status |= DESC_DD
-            space.dma_write(desc + 12, bytes([status]))
+            space.dma_write(desc + 12, bytes((status,)))
             head = (head + 1) % count
-        self.regs[REG_TDH] = head
+        regs[REG_TDH] = head
 
     def deliver_frame(self, space: PhysSpace, frame: bytes) -> bool:
         """Device-side receive: DMA the frame into the next free descriptor.
@@ -206,23 +203,22 @@ class NicModel:
         Runs at frame arrival time and charges no CPU clock; the device
         works in parallel with the processors.
         """
-        base, count = self.rx_ring()
+        regs = self.regs
+        base = (regs[REG_RDBAH] << 32) | regs[REG_RDBAL]
+        count = regs[REG_RDLEN] // DESC_SIZE
         # too long for the link, receiver disabled, or no ring
-        if len(frame) > MAX_LINK_FRAME or not self.regs[REG_RCTL] & RCTL_EN or count == 0:
+        if len(frame) > MAX_LINK_FRAME or not regs[REG_RCTL] & RCTL_EN or count == 0:
             self.counters.rx_dropped += 1
             return False
-        head = self.regs[REG_RDH] % count
-        tail = self.regs[REG_RDT] % count
+        head = regs[REG_RDH] % count
+        tail = regs[REG_RDT] % count
         if head == tail:
             self.counters.rx_dropped += 1  # no free descriptors
             return False
         desc = base + head * DESC_SIZE
-        raw = space.dma_read(desc, DESC_SIZE)
-        addr = int.from_bytes(raw[0:8], "little")
+        addr, keep, status = _RX_DESC.unpack_from(space.dma_read(desc, DESC_SIZE))
         space.dma_write(addr, frame)
-        # length, the untouched bytes 10..11, and the status with DD
-        space.dma_write(desc + 8, len(frame).to_bytes(2, "little") + raw[10:12]
-                        + bytes((raw[12] | DESC_DD,)))
-        self.regs[REG_RDH] = (head + 1) % count
+        space.dma_write(desc + 8, _RX_WRITEBACK.pack(len(frame), keep, status | DESC_DD))
+        regs[REG_RDH] = (head + 1) % count
         self.counters.rx_frames += 1
         return True

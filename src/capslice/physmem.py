@@ -10,8 +10,9 @@ and nobody else.
 
 from __future__ import annotations
 
+import math
 import mmap
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Protocol
 
 from .capability import (
@@ -38,10 +39,11 @@ class MmioDevice(Protocol):
     def mmio_write(self, space: "PhysSpace", offset: int, width: int, value: int) -> None: ...
 
 
-@dataclass
+@dataclass(frozen=True)
 class AccessCostTable:
     """Virtual-time charges, in nanoseconds. Only defaults live here; every
-    field is overridable from the CLI."""
+    field is overridable from the CLI. Frozen, because a space checks its
+    table once, when it is built, and then charges it without a check."""
 
     ram_access_ns: float = 10.0
     mmio_access_ns: float = 250.0
@@ -78,9 +80,20 @@ class PhysSpace:
         self.data = mmap.mmap(-1, size)
         self.tags = bytearray((size + GRANULE - 1) // GRANULE)
         self.regions: list[Region] = []
-        self._last_region: Optional[Region] = None  # region_for's last answer
+        # The region region_for found last, as plain ints and its device
+        # (None for RAM). Accesses cluster (mostly RAM, now and then the
+        # BAR), so most of them test these bounds and never call region_for.
+        # The empty [0, 0) misses every access until the first lookup.
+        self._lo = self._hi = 0
+        self._dev: Optional[MmioDevice] = None
         self.clock: float = 0.0
         self.costs = costs or AccessCostTable()
+        # The accessors add costs to the clock directly, past advance's check.
+        for f in fields(self.costs):
+            value = getattr(self.costs, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{f.name} must be a finite non-negative number,"
+                                 f" got {value!r}")
         # Full capability values per tagged granule; exact bounds do not
         # fit in 16 bytes, so the granule bytes carry only cursor+base.
         self._cap_shadow: dict[int, Capability] = {}
@@ -107,14 +120,10 @@ class PhysSpace:
         return region
 
     def region_for(self, addr: int, width: int) -> Region:
-        # Accesses cluster (mostly RAM, now and then the BAR), so the region
-        # found last time answers most lookups without a scan.
-        r = self._last_region
-        if r is not None and r.base <= addr and addr + width <= r.base + r.length:
-            return r
+        """The one region holding [addr, addr + width); it becomes the cached one."""
         for r in self.regions:
             if r.base <= addr and addr + width <= r.base + r.length:
-                self._last_region = r
+                self._lo, self._hi, self._dev = r.base, r.base + r.length, r.device
                 return r
         raise ValueError(f"access [{addr:#x},{addr + width:#x}) maps to no single region")
 
@@ -131,11 +140,9 @@ class PhysSpace:
 
     # -- tag bookkeeping ---------------------------------------------------
 
+    # Only cap_store sets a tag, and it always records a shadow, so with no
+    # shadows every tag is already clear: callers skip this call then.
     def _clear_tags(self, addr: int, width: int) -> None:
-        # Only cap_store sets a tag, and it always records a shadow, so with
-        # no shadows every tag is already clear.
-        if not self._cap_shadow:
-            return
         first = addr // GRANULE
         end = (addr + width - 1) // GRANULE + 1
         self.tags[first:end] = bytes(end - first)
@@ -149,49 +156,57 @@ class PhysSpace:
         if width not in DATA_WIDTHS:
             raise CapFault(FaultKind.ALIGNMENT_FAULT, addr, f"bad access width {width}")
         check_access(cap, width, READ_MASK, offset)
-        region = self.region_for(addr, width)
-        device = region.device
+        if addr < self._lo or addr + width > self._hi:
+            self.region_for(addr, width)
+        device = self._dev
         if device is None:
-            self.advance(self.costs.ram_access_ns)
+            self.clock += self.costs.ram_access_ns
             return int.from_bytes(self.data[addr:addr + width], "little")
-        self.advance(self.costs.mmio_access_ns)
-        return device.mmio_read(self, addr - region.base, width)
+        self.clock += self.costs.mmio_access_ns
+        return device.mmio_read(self, addr - self._lo, width)
 
     def store(self, cap: Capability, width: int, value: int, offset: int = 0) -> None:
         addr = cap.cursor + offset
         if width not in DATA_WIDTHS:
             raise CapFault(FaultKind.ALIGNMENT_FAULT, addr, f"bad access width {width}")
         check_access(cap, width, WRITE_MASK, offset)
-        region = self.region_for(addr, width)
-        device = region.device
+        if addr < self._lo or addr + width > self._hi:
+            self.region_for(addr, width)
+        device = self._dev
         if device is None:
-            self.advance(self.costs.ram_access_ns)
+            self.clock += self.costs.ram_access_ns
             self.data[addr:addr + width] = value.to_bytes(width, "little")
-            self._clear_tags(addr, width)
+            if self._cap_shadow:
+                self._clear_tags(addr, width)
         else:
-            self.advance(self.costs.mmio_access_ns)
-            device.mmio_write(self, addr - region.base, width, value)
+            self.clock += self.costs.mmio_access_ns
+            device.mmio_write(self, addr - self._lo, width, value)
 
     # -- bulk data copies (RAM only) ----------------------------------------
 
     def load_bytes(self, cap: Capability, count: int) -> bytes:
         check_access(cap, count, READ_MASK)
-        region = self.region_for(cap.cursor, max(count, 1))
-        if not region.is_ram:
+        addr = cap.cursor
+        if addr < self._lo or addr + max(count, 1) > self._hi:
+            self.region_for(addr, max(count, 1))
+        if self._dev is not None:
             raise ValueError("bulk loads are RAM-only")
+        # Through advance: its check refuses the negative charge of a negative count.
         self.advance(self.costs.copy_per_byte_ns * count)
-        return bytes(self.data[cap.cursor:cap.cursor + count])
+        return self.data[addr:addr + count]
 
     def store_bytes(self, cap: Capability, payload: bytes) -> None:
         count = len(payload)
         check_access(cap, count, WRITE_MASK)
-        region = self.region_for(cap.cursor, max(count, 1))
-        if not region.is_ram:
+        addr = cap.cursor
+        if addr < self._lo or addr + max(count, 1) > self._hi:
+            self.region_for(addr, max(count, 1))
+        if self._dev is not None:
             raise ValueError("bulk stores are RAM-only")
-        self.advance(self.costs.copy_per_byte_ns * count)
-        self.data[cap.cursor:cap.cursor + count] = payload
-        if count:
-            self._clear_tags(cap.cursor, count)
+        self.clock += self.costs.copy_per_byte_ns * count
+        self.data[addr:addr + count] = payload
+        if count and self._cap_shadow:
+            self._clear_tags(addr, count)
 
     # -- capability-sized access --------------------------------------------
 
@@ -230,18 +245,21 @@ class PhysSpace:
     # -- device-side DMA (no capability in the loop; the device is hardware) --
 
     def dma_read(self, addr: int, count: int) -> bytes:
-        region = self.region_for(addr, max(count, 1))
-        if not region.is_ram:
+        if addr < self._lo or addr + max(count, 1) > self._hi:
+            self.region_for(addr, max(count, 1))
+        if self._dev is not None:
             raise ValueError("DMA targets RAM")
-        return bytes(self.data[addr:addr + count])
+        return self.data[addr:addr + count]
 
     def dma_write(self, addr: int, payload: bytes) -> None:
-        region = self.region_for(addr, max(len(payload), 1))
-        if not region.is_ram:
+        count = len(payload)
+        if addr < self._lo or addr + max(count, 1) > self._hi:
+            self.region_for(addr, max(count, 1))
+        if self._dev is not None:
             raise ValueError("DMA targets RAM")
-        self.data[addr:addr + len(payload)] = payload
-        if payload:
-            self._clear_tags(addr, len(payload))
+        self.data[addr:addr + count] = payload
+        if count and self._cap_shadow:
+            self._clear_tags(addr, count)
 
 
 class RootAuthority:

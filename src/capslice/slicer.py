@@ -35,6 +35,7 @@ SLICER_OTYPE = 1
 INTERFACE_OTYPE = 2
 
 _AUTHORITY = make_otype_authority(SLICER_OTYPE)
+_RW = PermClass.RW
 
 # Audit result bits, one byte per audited address.
 AUDIT_READ = 0x1
@@ -91,17 +92,20 @@ def slice(root: Capability, m: Manifest) -> SliceTable:
                        f"root covers {root.length:#x} < bar {m.bar_length:#x}")
 
     # One permission-restricted root per class, then one derivation per
-    # range: the same values as restricting each derived slice.
-    class_roots: dict[PermClass, Capability] = {}
+    # range: the same values as restricting each derived slice. Expansion
+    # yields only RW and RO ranges; the roots are indexed by `is RW`, which
+    # hashes no enum member.
+    class_roots: list[Optional[Capability]] = [None, None]  # [RO, RW]
     slices: list[tuple[str, Capability]] = []
     for name, offset, size, perm_class in expand(m):
         # Defense in depth beyond manifest validation.
         if offset + size > root.length:
             raise CapFault(FaultKind.BOUNDS_VIOLATION, root.base + offset,
                            f"{name} exceeds root bounds")
-        parent = class_roots.get(perm_class)
+        rw = perm_class is _RW
+        parent = class_roots[rw]
         if parent is None:
-            parent = class_roots[perm_class] = restrict_perms(root, perm_class.to_perms())
+            parent = class_roots[rw] = restrict_perms(root, perm_class.to_perms())
         slices.append((name, derive_bounds(parent, root.base + offset, size)))
     return SliceTable(slices=tuple(slices), sealed_root=seal(root, _AUTHORITY))
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from capslice import harness, kernel
+from capslice import harness, kernel, physmem
 from capslice.harness import (
     MODE_BYPASS,
     MODE_MEDIATED,
@@ -46,6 +46,32 @@ def test_bypass_cell_makes_zero_kernel_calls():
     assert cell.sut_kernel_calls == 0
     cell = run_cell(small_cfg(), 64, 0, MODE_MEDIATED)
     assert cell.sut_kernel_calls > 0
+
+
+# Checked accesses through PhysSpace in one 20-trial, 64 B cell, both
+# machines' bring-up included, recorded before the access path cached its
+# region bounds. Every load and store must still reach check_access.
+CHECKED_ACCESSES = {
+    (MODE_BYPASS, 0): 992,
+    (MODE_BYPASS, 1000): 1022,
+    (MODE_MEDIATED, 0): 986,
+    (MODE_MEDIATED, 1000): 1018,
+}
+
+
+@pytest.mark.parametrize("mode,delay_us", sorted(CHECKED_ACCESSES))
+def test_checked_access_count_per_cell_is_pinned(monkeypatch, mode, delay_us):
+    calls = []
+    check = physmem.check_access
+
+    def counted(*args):
+        calls.append(None)
+        return check(*args)
+
+    monkeypatch.setattr(physmem, "check_access", counted)
+    cell = run_cell(small_cfg(delays_us=(delay_us,), trials=20), 64, delay_us, mode)
+    assert cell.drops == 0
+    assert len(calls) == CHECKED_ACCESSES[(mode, delay_us)]
 
 
 def test_mediated_slower_at_zero_delay():

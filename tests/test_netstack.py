@@ -36,6 +36,19 @@ def test_frame_length_arithmetic():
     assert len(encode_udp(A, B, b"q" * MAX_PAYLOAD)) == 1514
 
 
+@pytest.mark.parametrize("mac,ipv4", [
+    (b"\x02" * 5, bytes(4)),   # short MAC
+    (b"\x02" * 7, bytes(4)),   # long MAC
+    (b"\x02" * 6, bytes(3)),   # short IPv4
+    (b"\x02" * 6, bytes(5)),   # long IPv4
+], ids=["short-mac", "long-mac", "short-ipv4", "long-ipv4"])
+def test_endpoint_rejects_bad_address_lengths(mac, ipv4):
+    # A ValueError, not an assert: it must hold under `python -O` too, where
+    # struct's 6s/4s would otherwise pad or truncate the address.
+    with pytest.raises(ValueError):
+        UdpEndpoint(mac=mac, ipv4=ipv4, port=7)
+
+
 def test_payload_too_large_rejected():
     with pytest.raises(ValueError):
         encode_udp(A, B, b"q" * (MAX_PAYLOAD + 1))

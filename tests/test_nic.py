@@ -140,6 +140,48 @@ def test_bad_length_descriptor_skipped_with_error():
     assert mmio(m, dev, REG_TDH) == 3  # ring does not wedge
 
 
+# Bytes 10..11 and 13..15 of a legacy TX descriptor: CSO, CMD, CSS and the
+# two special bytes. The device reads none of them and writes none back.
+TX_EXTRA = {10: 0x5A, 11: 0xB3, 13: 0x11, 14: 0x22, 15: 0x33}
+
+
+def wr_desc_with_extra(m, ring_addr, index, buf_addr, length):
+    raw = bytearray(buf_addr.to_bytes(8, "little") + length.to_bytes(2, "little") + bytes(6))
+    for at, value in TX_EXTRA.items():
+        raw[at] = value
+    m.space.dma_write(ring_addr + index * DESC_SIZE, bytes(raw))
+    return bytes(raw)
+
+
+@pytest.mark.parametrize("length,status", [(60, DESC_DD), (0, DESC_DD | DESC_ERR)])
+def test_tx_completion_writes_only_the_status_byte(length, status):
+    m, dev, got = rig()
+    payload = bytes(range(60))
+    m.space.dma_write(dev.dma.tx_buf(0), payload)
+    before = wr_desc_with_extra(m, dev.dma.tx_ring, 0, dev.dma.tx_buf(0), length)
+    mmio(m, dev, REG_TDT, 1)
+    # the offload bytes change nothing about the frame sent
+    assert [f for _, f in got[1]] == ([payload] if length else [])
+    after = m.space.dma_read(dev.dma.tx_ring, DESC_SIZE)
+    assert after[12] == status
+    assert after[:12] + after[13:] == before[:12] + before[13:]
+
+
+def test_rx_delivery_keeps_bytes_the_device_does_not_own():
+    m, dev, _ = rig()
+    desc = dev.dma.rx_ring
+    before = m.space.dma_read(desc, DESC_SIZE)
+    m.space.dma_write(desc + 10, b"\xa5\x5a")
+    m.space.dma_write(desc + 13, b"\x01\x02\x03")
+    assert m.nic.deliver_frame(m.space, bytes(60))
+    after = m.space.dma_read(desc, DESC_SIZE)
+    assert after[:8] == before[:8]  # the buffer address
+    assert int.from_bytes(after[8:10], "little") == 60
+    assert after[10:12] == b"\xa5\x5a"
+    assert after[12] == DESC_DD
+    assert after[13:] == b"\x01\x02\x03"
+
+
 def test_deliver_frame_fills_descriptor():
     m, dev, _ = rig()
     desc = dev.dma.rx_ring

@@ -1,18 +1,28 @@
+import math
 import random
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capslice.capability import (
+    LOAD_CAP_MASK,
+    READ_MASK,
+    STORE_CAP_MASK,
+    WRITE_MASK,
     CapFault,
     Capability,
     FaultKind,
     PERM_RW,
     Perm,
+    check_access,
     derive_bounds,
+    null_capability,
     restrict_perms,
     with_cursor,
 )
-from capslice.physmem import GRANULE, AccessCostTable, PhysSpace
+from capslice.physmem import DATA_WIDTHS, GRANULE, AccessCostTable, PhysSpace
 
 
 class ScratchDevice:
@@ -329,3 +339,248 @@ def test_empty_bulk_store_clears_no_tag():
     assert [space.tags[0x100], space.tags[0x101]] == [1, 1]
     space.dma_write(0x100F, b"\x00\x00")
     assert [space.tags[0x100], space.tags[0x101]] == [0, 0]
+
+
+# -- cost table ---------------------------------------------------------------------
+
+COST_FIELDS = [f.name for f in fields(AccessCostTable)]
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("field", COST_FIELDS)
+def test_space_refuses_a_negative_or_non_finite_cost(field, bad):
+    # The accessors add costs to the clock without advance's check, so the
+    # table is checked once, when the space is built.
+    costs = replace(AccessCostTable(), **{field: bad})
+    with pytest.raises(ValueError, match=field):
+        PhysSpace(0x1000, costs)
+
+
+def test_cost_table_cannot_change_after_the_check():
+    space, _, _ = make_space()
+    with pytest.raises(FrozenInstanceError):
+        space.costs.ram_access_ns = -5.0
+
+
+def test_advance_keeps_its_own_check():
+    space, _, _ = make_space()
+    with pytest.raises(ValueError):
+        space.advance(-1.0)
+
+
+# -- reference model --------------------------------------------------------------
+# A straight-line PhysSpace: every access scans the regions, charges through
+# advance and clears tags whether or not any granule is tagged. The real
+# space caches the last region's bounds and skips work it can prove is a
+# no-op; on any sequence of operations the two must agree.
+
+class ReferenceSpace:
+    def __init__(self, regions, size):
+        self.regions = regions  # (base, length, device), device None for RAM
+        self.data = bytearray(size)
+        self.tags = bytearray(size // GRANULE)
+        self.shadow = {}
+        self.clock = 0.0
+        self.costs = AccessCostTable()
+
+    def region(self, addr, width):
+        for base, length, device in self.regions:
+            if base <= addr and addr + width <= base + length:
+                return base, device
+        raise ValueError(f"access [{addr:#x},{addr + width:#x}) maps to no single region")
+
+    def advance(self, ns):
+        if ns < 0:
+            raise ValueError("clock cannot run backwards")
+        self.clock += ns
+
+    def clear_tags(self, addr, width):
+        first = addr // GRANULE
+        end = (addr + width - 1) // GRANULE + 1
+        self.tags[first:end] = bytes(end - first)
+
+    def load(self, cap, width, offset=0):
+        addr = cap.cursor + offset
+        if width not in DATA_WIDTHS:
+            raise CapFault(FaultKind.ALIGNMENT_FAULT, addr, f"bad access width {width}")
+        check_access(cap, width, READ_MASK, offset)
+        base, device = self.region(addr, width)
+        if device is None:
+            self.advance(self.costs.ram_access_ns)
+            return int.from_bytes(self.data[addr:addr + width], "little")
+        self.advance(self.costs.mmio_access_ns)
+        return device.mmio_read(self, addr - base, width)
+
+    def store(self, cap, width, value, offset=0):
+        addr = cap.cursor + offset
+        if width not in DATA_WIDTHS:
+            raise CapFault(FaultKind.ALIGNMENT_FAULT, addr, f"bad access width {width}")
+        check_access(cap, width, WRITE_MASK, offset)
+        base, device = self.region(addr, width)
+        if device is None:
+            self.advance(self.costs.ram_access_ns)
+            self.data[addr:addr + width] = value.to_bytes(width, "little")
+            self.clear_tags(addr, width)
+        else:
+            self.advance(self.costs.mmio_access_ns)
+            device.mmio_write(self, addr - base, width, value)
+
+    def load_bytes(self, cap, count):
+        check_access(cap, count, READ_MASK)
+        if self.region(cap.cursor, max(count, 1))[1] is not None:
+            raise ValueError("bulk loads are RAM-only")
+        self.advance(self.costs.copy_per_byte_ns * count)
+        return bytes(self.data[cap.cursor:cap.cursor + count])
+
+    def store_bytes(self, cap, payload):
+        count = len(payload)
+        check_access(cap, count, WRITE_MASK)
+        if self.region(cap.cursor, max(count, 1))[1] is not None:
+            raise ValueError("bulk stores are RAM-only")
+        self.advance(self.costs.copy_per_byte_ns * count)
+        self.data[cap.cursor:cap.cursor + count] = payload
+        if count:
+            self.clear_tags(cap.cursor, count)
+
+    def cap_store(self, cap, value):
+        if cap.cursor % GRANULE != 0:
+            raise CapFault(FaultKind.ALIGNMENT_FAULT, cap.cursor,
+                           "capability store needs 16-byte alignment")
+        check_access(cap, GRANULE, STORE_CAP_MASK)
+        if self.region(cap.cursor, GRANULE)[1] is not None:
+            raise ValueError("capability stores are RAM-only")
+        self.advance(self.costs.ram_access_ns)
+        g = cap.cursor // GRANULE
+        self.data[cap.cursor:cap.cursor + 8] = (value.cursor % (1 << 64)).to_bytes(8, "little")
+        self.data[cap.cursor + 8:cap.cursor + 16] = (value.base % (1 << 64)).to_bytes(8, "little")
+        self.shadow[g] = value
+        self.tags[g] = 1 if value.tag else 0
+
+    def cap_load(self, cap):
+        if cap.cursor % GRANULE != 0:
+            raise CapFault(FaultKind.ALIGNMENT_FAULT, cap.cursor,
+                           "capability load needs 16-byte alignment")
+        check_access(cap, GRANULE, LOAD_CAP_MASK)
+        if self.region(cap.cursor, GRANULE)[1] is not None:
+            raise ValueError("capability loads are RAM-only")
+        self.advance(self.costs.ram_access_ns)
+        g = cap.cursor // GRANULE
+        shadow = self.shadow.get(g)
+        if shadow is None:
+            return null_capability(int.from_bytes(self.data[cap.cursor:cap.cursor + 8], "little"))
+        return Capability(shadow.base, shadow.length, shadow.cursor, shadow.perms,
+                          bool(self.tags[g]) and shadow.tag, shadow.otype)
+
+    def dma_read(self, addr, count):
+        if self.region(addr, max(count, 1))[1] is not None:
+            raise ValueError("DMA targets RAM")
+        return bytes(self.data[addr:addr + count])
+
+    def dma_write(self, addr, payload):
+        if self.region(addr, max(len(payload), 1))[1] is not None:
+            raise ValueError("DMA targets RAM")
+        self.data[addr:addr + len(payload)] = payload
+        if payload:
+            self.clear_tags(addr, len(payload))
+
+
+ALL_PERMS = CAP_PERMS | Perm.SEAL | Perm.UNSEAL
+# Capabilities an operation may go through or store: the three regions'
+# roots, one spanning the whole space (its checks pass everywhere, so only
+# the region lookup stands between it and a gap or a straddle), a
+# read-only one and an untagged one.
+CAP_POOL = (
+    Capability(0, 0x10000, 0, CAP_PERMS, True),
+    Capability(0x10000, 0x1000, 0x10000, PERM_RW, True),
+    Capability(0x18000, 0x8000, 0x18000, CAP_PERMS, True),
+    Capability(0, 0x20000, 0, ALL_PERMS, True),
+    Capability(0, 0x10000, 0, Perm.READ, True),
+    Capability(0, 0x20000, 0, ALL_PERMS, False),
+)
+# Each region's edges in the gapped space, where a cached bound that is off
+# by one, or a straddle the cache lets through, would show; and one granule
+# inside each RAM region, so that tagged granules are stored over again.
+HOT = (0, 0x10000, 0x11000, 0x18000, 0x20000, 0x100, 0x18100)
+
+near_hot = st.builds(lambda hot, delta: max(hot + delta, 0), st.sampled_from(HOT),
+                     st.sampled_from((-9, -8, -5, -3, -2, -1, -1, 0, 0, 1, 2, 7)))
+addresses = st.one_of(near_hot, near_hot, near_hot, st.integers(0, 0x20000))
+# The whole-space capability weighs most: it is the one that reaches a
+# straddle or a gap without a capability fault.
+pool_index = st.sampled_from((0, 1, 2, 3, 3, 3, 4, 5))
+caps = st.builds(lambda i, addr: with_cursor(CAP_POOL[i], addr), pool_index, addresses)
+aligned_caps = st.builds(lambda i, addr: with_cursor(CAP_POOL[i], addr // GRANULE * GRANULE),
+                         pool_index, addresses)
+widths = st.sampled_from((1, 2, 3, 4, 8, 8))
+offsets = st.sampled_from((0, 0, 0, -1, 1, 8))
+payloads = st.binary(max_size=40)
+
+operations = st.one_of(
+    st.tuples(st.just("load"), caps, widths, offsets),
+    st.tuples(st.just("store"), caps, widths, st.integers(0, (1 << 64) - 1), offsets),
+    st.tuples(st.just("load_bytes"), caps, st.integers(-2, 40)),
+    st.tuples(st.just("store_bytes"), caps, payloads),
+    st.tuples(st.just("cap_store"), st.one_of(caps, aligned_caps),
+              st.sampled_from(CAP_POOL)),
+    st.tuples(st.just("cap_load"), st.one_of(caps, aligned_caps)),
+    st.tuples(st.just("dma_read"), addresses, st.integers(-2, 40)),
+    st.tuples(st.just("dma_write"), addresses, payloads),
+)
+
+
+def outcome(space, op):
+    name, *args = op
+    if name == "store":
+        cap, width, value, offset = args
+        args = (cap, width, value % (1 << (8 * width)), offset)
+    try:
+        return "returned", getattr(space, name)(*args)
+    except CapFault as fault:
+        return "fault", fault.kind, fault.address, str(fault)
+    except (ValueError, OverflowError) as err:
+        return "error", type(err), str(err)
+
+
+def wide(addr):
+    return with_cursor(CAP_POOL[3], addr)
+
+
+# Each region's edges, each reached from inside the region the last access
+# found: straddles up and down, the byte just below a cached base, and DMA
+# that starts in RAM and ends in the BAR. Random sequences reach these only
+# now and then, so they run on every test run.
+EDGE_OPS = [
+    ("load", wide(0x100), 4, 0), ("load", wide(0xFFFC), 8, 0),
+    ("load_bytes", wide(0xFFF0), 32), ("store_bytes", wide(0xFFF8), b"\xaa" * 12),
+    ("dma_read", 0xFFF8, 16), ("dma_write", 0xFFFC, b"\x01" * 8),
+    ("load", CAP_POOL[1], 4, 0), ("store", wide(0xFFFF), 1, 0x5A, 0),
+    ("load", CAP_POOL[1], 4, 0), ("load", wide(0x10FFC), 8, 0),
+    ("store", wide(0x10FFE), 4, 7, 0), ("dma_read", 0x10000, 4),
+    ("store", wide(0x18000), 8, 0x1122, 0), ("load", wide(0x17FFC), 8, 0),
+    ("dma_write", 0x17FFF, b"\x02\x03"), ("load", wide(0x1FFFC), 8, 0),
+    ("store", wide(0x18000), 1, 1, -1), ("dma_read", 0x1FFF8, 16),
+    ("load", CAP_POOL[1], 4, 0), ("load", wide(0xFFFF), 1, 0),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), st.lists(operations, min_size=20, max_size=50))
+@example(False, EDGE_OPS)
+@example(True, EDGE_OPS)
+def test_physspace_agrees_with_a_region_scanning_reference(tagged, ops):
+    space, _, dev = make_gapped_space()
+    ref_dev = ScratchDevice()
+    ref = ReferenceSpace([(0, 0x10000, None), (0x10000, 0x1000, ref_dev),
+                          (0x18000, 0x8000, None)], 0x20000)
+    if tagged:
+        # Tag the granules around each RAM hot spot, so that stores and DMA
+        # there have tags to clear.
+        value = CAP_POOL[0]
+        ops = [("cap_store", with_cursor(CAP_POOL[3], g), value)
+               for g in (0xF0, 0x100, 0x110, 0x180F0, 0x18100, 0x18110)] + ops
+    for op in ops:
+        assert outcome(space, op) == outcome(ref, op), op
+        assert space.clock == ref.clock
+        assert space.data[:] == ref.data
+        assert space.tags == ref.tags
+        assert dev.writes == ref_dev.writes
