@@ -241,7 +241,8 @@ def check_access(cap: Capability, width: int, need: int, offset: int = 0) -> Non
     """Validate one access of `width` bytes at ``cap.cursor + offset``, or raise.
 
     Check order is fixed (tag, seal, permission, bounds) so identical
-    inputs always fault identically. `need` is an int mask or a Perm.
+    inputs always fault identically. `need` is an int mask or a Perm. A
+    negative `width` is out of bounds; zero is legal (an empty bulk copy).
 
     `offset` is the immediate offset of CHERI's capability-relative loads
     and stores (CHERI ISA v9, UCAM-CL-TR-951): the access needs no new
@@ -259,7 +260,7 @@ def check_access(cap: Capability, width: int, need: int, offset: int = 0) -> Non
     if (cap.perms & need) != need:
         raise CapFault(_PERMISSION_DENIED, cursor, _perm_text, need, cap.perms)
     base = cap.base
-    if cursor < base or cursor + width > base + cap.length:
+    if cursor < base or cursor + width > base + cap.length or width < 0:
         raise CapFault(_BOUNDS_VIOLATION, cursor, _bounds_text, cursor, width, base, cap.length)
 
 

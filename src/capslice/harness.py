@@ -13,6 +13,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from typing import Callable, Optional
 
@@ -40,9 +41,15 @@ MODE_BYPASS = "bypass"
 MODE_MEDIATED = "mediated"
 
 
+@cache
+def _data_text(name: str) -> str:
+    # A shipped file does not change while the process runs, so it is read once.
+    return resources.files("capslice").joinpath("data", name).read_text(encoding="utf-8")
+
+
 def data_manifest(name: str) -> Manifest:
-    text = resources.files("capslice").joinpath("data", name).read_text(encoding="utf-8")
-    return parse(text)
+    """A shipped manifest, parsed afresh on every call from text read once."""
+    return parse(_data_text(name))
 
 
 def default_manifests() -> Manifest:

@@ -335,12 +335,15 @@ class Kernel:
         reg(REG_RDH, 0)
 
         # Preprogram every descriptor to its paired buffer so the data
-        # path never needs the kernel to fix addresses.
+        # path never needs the kernel to fix addresses: descriptor k holds
+        # the address `dma.tx_buf(k)` or `dma.rx_buf(k)` returns.
+        tx_buf, rx_buf = dma_base + DMA_TX_BUFS, dma_base + DMA_RX_BUFS
         for k in range(RING_SIZE):
             tx, rx = DMA_TX_RING + k * DESC_SIZE, DMA_RX_RING + k * DESC_SIZE
-            store(dma_root, 8, dma.tx_buf(k), tx)
+            buf = k * BUF_SIZE
+            store(dma_root, 8, tx_buf + buf, tx)
             store(dma_root, 8, 0, tx + 8)
-            store(dma_root, 8, dma.rx_buf(k), rx)
+            store(dma_root, 8, rx_buf + buf, rx)
             store(dma_root, 8, 0, rx + 8)
 
         reg(REG_TCTL, TCTL_EN)

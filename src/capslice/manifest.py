@@ -81,6 +81,9 @@ class ExpandedRange(NamedTuple):
 
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# Field text -> class in one dict lookup; `PermClass(text)` would run Enum's
+# Python-level `__call__` for every line.
+_PERM_BY_TEXT = {p.value: p for p in PermClass}
 
 
 def _parse_int(token: str, what: str, line: int) -> int:
@@ -129,19 +132,20 @@ def parse(text: str) -> Manifest:
             seen.add(name)
             offset = _parse_int(fields[2], "offset", lineno)
             size = _parse_int(fields[3], "size", lineno)
-            try:
-                perm = PermClass(fields[4])
-            except ValueError:
-                raise ManifestError(f"unknown permission class {fields[4]!r}", lineno) from None
+            perm = _PERM_BY_TEXT.get(fields[4])
+            if perm is None:
+                raise ManifestError(f"unknown permission class {fields[4]!r}", lineno)
             repeat = None
             if len(fields) == 7:
-                m_count = re.fullmatch(r"repeat=(\S+)", fields[5])
-                m_stride = re.fullmatch(r"stride=(\S+)", fields[6])
-                if not m_count or not m_stride:
+                # A field has no whitespace, so `key=value` with a non-empty
+                # value is the whole format.
+                count_key, _, count = fields[5].partition("=")
+                stride_key, _, stride = fields[6].partition("=")
+                if count_key != "repeat" or stride_key != "stride" or not count or not stride:
                     raise ManifestError("expected repeat=<count> stride=<hex>", lineno)
                 repeat = Repeat(
-                    count=_parse_int(m_count.group(1), "repeat count", lineno),
-                    stride=_parse_int(m_stride.group(1), "stride", lineno),
+                    count=_parse_int(count, "repeat count", lineno),
+                    stride=_parse_int(stride, "stride", lineno),
                 )
             entries.append(SliceEntry(name, offset, size, perm, repeat))
         else:

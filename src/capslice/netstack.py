@@ -21,7 +21,8 @@ UDP_HEADER = 8
 HEADERS = ETH_HEADER + IPV4_HEADER + UDP_HEADER
 
 MAX_PAYLOAD = 1472            # MTU-limited UDP payload
-MAX_FRAME = HEADERS + MAX_PAYLOAD  # 1514, no FCS
+MAX_IP_LENGTH = IPV4_HEADER + UDP_HEADER + MAX_PAYLOAD  # 1500, the MTU
+MAX_FRAME = ETH_HEADER + MAX_IP_LENGTH  # 1514, no FCS
 
 _IPV4 = struct.Struct("!BBHHHBBH4s4s")
 # UDP pseudo-header: source, destination, zero, protocol, UDP length.
@@ -118,7 +119,10 @@ def decode_udp(frame: bytes) -> tuple[UdpEndpoint, UdpEndpoint, bytes]:
         raise DecodeError(Reject.IP_VERSION)
     if ones_complement_sum(frame[ETH_HEADER:ETH_HEADER + IPV4_HEADER]) != 0xFFFF:
         raise DecodeError(Reject.IP_CHECKSUM)
-    if ip_len < IPV4_HEADER + UDP_HEADER or ETH_HEADER + ip_len > len(frame):
+    # Above the MTU is refused as `encode_udp` refuses it, so every frame
+    # that decodes can be echoed.
+    if (not IPV4_HEADER + UDP_HEADER <= ip_len <= MAX_IP_LENGTH
+            or ETH_HEADER + ip_len > len(frame)):
         raise DecodeError(Reject.IP_LENGTH)
     if proto != IP_PROTO_UDP:
         raise DecodeError(Reject.PROTOCOL)

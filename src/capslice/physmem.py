@@ -191,8 +191,7 @@ class PhysSpace:
             self.region_for(addr, max(count, 1))
         if self._dev is not None:
             raise ValueError("bulk loads are RAM-only")
-        # Through advance: its check refuses the negative charge of a negative count.
-        self.advance(self.costs.copy_per_byte_ns * count)
+        self.clock += self.costs.copy_per_byte_ns * count  # check_access refused count < 0
         return self.data[addr:addr + count]
 
     def store_bytes(self, cap: Capability, payload: bytes) -> None:

@@ -17,7 +17,6 @@ from .capability import (
     CapFault,
     Capability,
     FaultKind,
-    Perm,
     check_access,
     derive_bounds,
     make_otype_authority,
@@ -36,6 +35,7 @@ INTERFACE_OTYPE = 2
 
 _AUTHORITY = make_otype_authority(SLICER_OTYPE)
 _RW = PermClass.RW
+_RW_MASK = READ_MASK | WRITE_MASK
 
 # Audit result bits, one byte per audited address.
 AUDIT_READ = 0x1
@@ -85,7 +85,7 @@ def slice(root: Capability, m: Manifest) -> SliceTable:
         raise CapFault(FaultKind.TAG_INVALID, root.cursor, "untagged root")
     if root.sealed:
         raise CapFault(FaultKind.SEAL_VIOLATION, root.cursor, "sealed root")
-    if not root.has(Perm.READ | Perm.WRITE):
+    if (root.perms & _RW_MASK) != _RW_MASK:
         raise CapFault(FaultKind.PERMISSION_DENIED, root.cursor, "root must be RW")
     if root.length < m.bar_length:
         raise CapFault(FaultKind.BOUNDS_VIOLATION, root.cursor,

@@ -169,6 +169,24 @@ def test_access_outside_bounds():
     assert err.value.address == 0xD0
 
 
+@pytest.mark.parametrize("width", [-1, -2, -16, -(1 << 64)])
+@pytest.mark.parametrize("offset", [0, 4])
+def test_negative_width_is_a_bounds_violation(width, offset):
+    # The cursor sits inside the slice, so `cursor + width` never passes the
+    # top: only the width itself can refuse the access.
+    cap = with_cursor(derive_bounds(root(), 0x100, 16), 0x104)
+    with pytest.raises(CapFault) as err:
+        check_access(cap, width, READ_MASK, offset)
+    assert err.value.kind is FaultKind.BOUNDS_VIOLATION
+    assert err.value.address == 0x104 + offset
+
+
+def test_zero_width_stays_legal():
+    cap = derive_bounds(root(), 0x100, 16)
+    for cursor in (0x100, 0x108, 0x110):  # the top itself: an empty access
+        check_access(with_cursor(cap, cursor), 0, READ_MASK | WRITE_MASK)
+
+
 def test_access_without_permission():
     status = restrict_perms(derive_bounds(root(), 0x8, 4), Perm.READ)
     with pytest.raises(CapFault) as err:

@@ -26,7 +26,10 @@ both cost tables, the clock, the NIC's counters and registers, the bytes
 and tags of memory, and every slice's fields must equal values recorded
 before the bring-up path addressed its stores by immediate offset. The
 sweep digests would not see a dropped or regrouped bring-up charge under
-the dyadic costs.
+the dyadic costs. So is the number of checked accesses one bring-up makes,
+counted at `physmem.check_access`: a store dropped from the descriptor
+preload, or a check added to the carving, fails on its own even where the
+bytes and the clock would hide it.
 """
 
 import hashlib
@@ -36,6 +39,7 @@ from pathlib import Path
 
 import pytest
 
+from capslice import physmem
 from capslice.harness import (MODE_BYPASS, MODE_MEDIATED, SUT_ENDPOINT, SweepConfig,
                               SweepResult, build_machine, results_csv, run_cell,
                               run_isolation_suite)
@@ -123,3 +127,25 @@ def test_bringup_state_matches_recorded_digest(costs_name, mode):
     assert _sha256(bytes(m.space.data)) == data_sha
     assert _sha256(bytes(m.space.tags)) == BRINGUP_TAGS_SHA256
     assert _sha256(repr(slices).encode()) == slices_sha
+
+
+# `physmem.check_access` calls in one `build_machine`, recorded before the
+# descriptor preload computed its buffer addresses by arithmetic: the 12
+# register stores and 256 descriptor stores of `stub_attach`, plus, for a
+# bypass machine, the attach record's two stores and the two loads that
+# verify the token in `map_mmio`.
+BRINGUP_CHECKED_ACCESSES = {MODE_BYPASS: 272, MODE_MEDIATED: 268}
+
+
+@pytest.mark.parametrize("mode", sorted(BRINGUP_CHECKED_ACCESSES))
+def test_bringup_checked_access_count_matches_recorded(monkeypatch, mode):
+    calls = []
+    check = physmem.check_access
+
+    def counted(*args):
+        calls.append(None)
+        return check(*args)
+
+    monkeypatch.setattr(physmem, "check_access", counted)
+    build_machine("sut", mode, SUT_ENDPOINT)
+    assert len(calls) == BRINGUP_CHECKED_ACCESSES[mode]

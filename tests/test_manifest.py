@@ -1,12 +1,20 @@
+import re
+from importlib import resources
+from typing import Optional
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capslice import kernel
 from capslice.harness import data_manifest
 from capslice.manifest import (
     ExpandedRange,
+    Manifest,
     ManifestError,
     PermClass,
     Repeat,
+    SliceEntry,
     expand,
     parse,
     validate,
@@ -142,6 +150,181 @@ def test_expand_repeat_one_equals_plain_entry():
 def test_expand_is_deterministic():
     text = "device x\nbar 0x1000\nreg A 0x0 8 RW repeat=8 stride=0x20\nreg B 0x10 4 RO\n"
     assert expand(parse(text)) == expand(parse(text))
+
+
+# -- parse against a reference ---------------------------------------------------
+# The parser as it was before its permission lookup became a table and its
+# repeat/stride split became `str.partition`: one `PermClass(...)` call per
+# line and two `re.fullmatch` calls per repeat line. Both parsers must give
+# an equal Manifest or the same ManifestError text and line.
+
+_REF_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+
+def _ref_parse_int(token: str, what: str, line: int) -> int:
+    try:
+        return int(token, 0)
+    except ValueError:
+        raise ManifestError(f"{what} {token!r} is not a number", line) from None
+
+
+def reference_parse(text: str) -> Manifest:
+    device_name: Optional[str] = None
+    bar_length: Optional[int] = None
+    entries: list[SliceEntry] = []
+    seen: set[str] = set()
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        directive = fields[0]
+
+        if directive == "device":
+            if len(fields) != 2:
+                raise ManifestError("expected: device <name>", lineno)
+            if device_name is not None:
+                raise ManifestError("duplicate device directive", lineno)
+            device_name = fields[1]
+        elif directive == "bar":
+            if len(fields) != 2:
+                raise ManifestError("expected: bar <hex-length>", lineno)
+            if bar_length is not None:
+                raise ManifestError("duplicate bar directive", lineno)
+            bar_length = _ref_parse_int(fields[1], "bar length", lineno)
+        elif directive == "reg":
+            if len(fields) not in (5, 7):
+                raise ManifestError(
+                    "expected: reg <name> <hex-offset> <dec-size> <RW|RO|KERNEL>"
+                    " [repeat=<count> stride=<hex>]", lineno)
+            name = fields[1]
+            if not _REF_NAME_RE.match(name):
+                raise ManifestError(f"bad register name {name!r}", lineno)
+            if name in seen:
+                raise ManifestError(f"duplicate register name {name!r}", lineno)
+            seen.add(name)
+            offset = _ref_parse_int(fields[2], "offset", lineno)
+            size = _ref_parse_int(fields[3], "size", lineno)
+            try:
+                perm = PermClass(fields[4])
+            except ValueError:
+                raise ManifestError(f"unknown permission class {fields[4]!r}", lineno) from None
+            repeat = None
+            if len(fields) == 7:
+                m_count = re.fullmatch(r"repeat=(\S+)", fields[5])
+                m_stride = re.fullmatch(r"stride=(\S+)", fields[6])
+                if not m_count or not m_stride:
+                    raise ManifestError("expected repeat=<count> stride=<hex>", lineno)
+                repeat = Repeat(
+                    count=_ref_parse_int(m_count.group(1), "repeat count", lineno),
+                    stride=_ref_parse_int(m_stride.group(1), "stride", lineno),
+                )
+            entries.append(SliceEntry(name, offset, size, perm, repeat))
+        else:
+            raise ManifestError(f"unknown directive {directive!r}", lineno)
+
+    if device_name is None:
+        raise ManifestError("missing device directive")
+    if bar_length is None:
+        raise ManifestError("missing bar directive")
+    entries.sort(key=lambda e: (e.offset, e.name))
+    return Manifest(device_name, bar_length, tuple(entries))
+
+
+SHIPPED = {name: resources.files("capslice").joinpath("data", name).read_text(encoding="utf-8")
+           for name in ("e1000e.manifest", "e1000e-example.manifest")}
+
+
+def _parse_outcome(parser, text):
+    try:
+        return "manifest", parser(text)
+    except ManifestError as err:
+        return "error", str(err), err.line
+
+
+# Mostly well-formed lines, so that most texts reach the permission and
+# repeat fields; each kind of defect is drawn now and then.
+def rarely(common, rare, one_in=8):
+    """`rare` in one draw of `one_in`, else `common`."""
+    return st.builds(lambda k, c, r: r if k == 0 else c, st.integers(0, one_in - 1), common, rare)
+
+
+names = rarely(st.builds(str.__add__, st.sampled_from(("CTRL", "TDT", "_b", "Q", "z")),
+                         st.sampled_from(("",) + tuple(str(k) for k in range(16)))),
+               st.sampled_from(("9X", "a-b", "x.y", "TDT")))
+numbers = rarely(st.sampled_from(("0x0", "0x10", "0x3818", "4", "8", "64", "0", "1", "0x4000")),
+                 st.sampled_from(("-1", "0b11", "1_0", "zz", "0x", "08", "")))
+perm_texts = rarely(st.sampled_from(("RW", "RO", "KERNEL")),
+                    st.sampled_from(("rw", "Ro", "kernel", "WR", "R", "RWX", "READ", "RW=",
+                                     "ＲＷ")))
+# Malformed repeat fields: one field with its value empty, an extra `=`, its
+# key upper-case or its `=` dropped; both fields swapped; or any one to three
+# `key<sep>value` fields.
+_FIELD_DEFECTS = (
+    lambda key, value: f"{key}=",
+    lambda key, value: f"{key}=={value}",
+    lambda key, value: f"{key}={value}=",
+    lambda key, value: f"{key.upper()}={value}",
+    lambda key, value: f"{key.capitalize()}={value}",
+    lambda key, value: f"{key}{value}",
+    lambda key, value: f"={value}",
+)
+
+
+def _one_bad_field(count, stride, which, defect):
+    fields = [("repeat", count), ("stride", stride)]
+    return [defect(*kv) if i == which else f"{kv[0]}={kv[1]}" for i, kv in enumerate(fields)]
+
+
+keys = st.sampled_from(("repeat", "stride", "REPEAT", "Stride", "repeats", ""))
+seps = st.sampled_from(("=", "=", "=", "", "==", ":"))
+values = st.one_of(numbers, st.sampled_from(("=3", "3=4", "0x10=", "=")))
+one_bad_field = st.builds(_one_bad_field, numbers, numbers, st.integers(0, 1),
+                          st.sampled_from(_FIELD_DEFECTS))
+bad_tails = st.one_of(
+    one_bad_field,
+    one_bad_field,
+    st.builds(lambda c, s: [f"stride={s}", f"repeat={c}"], numbers, numbers),
+    st.lists(st.builds(str.__add__, st.builds(str.__add__, keys, seps), values),
+             min_size=1, max_size=3),
+)
+tails = rarely(st.one_of(st.just([]), st.builds(lambda c, s: [f"repeat={c}", f"stride={s}"],
+                                                numbers, numbers)),
+               bad_tails, 4)
+reg_lines = st.builds(
+    lambda name, off, size, perm, tail: " ".join(["reg", name, off, size, perm] + tail),
+    names, numbers, numbers, perm_texts, tails)
+other_lines = st.one_of(
+    st.sampled_from(("", "   ", "# comment", "\t# indented comment", "device x", "bar 0x100",
+                     "device", "bar 0x1 0x2", "foo A", "REG A 0x0 4 RW")),
+    st.text(alphabet=st.sampled_from("reg =#x0RW\t\x0b\x1c\u2028\u00a0A"), max_size=16))
+comments = st.sampled_from(("", "", "", " # trailing", "# glued", "\t#"))
+lines = st.builds(str.__add__, rarely(reg_lines, other_lines), comments)
+texts = st.builds(
+    lambda head, body, newline: newline.join(head + body),
+    st.sampled_from((["device e1000e", "bar 0x20000"], ["device e1000e", "bar 0x20000"],
+                     ["bar 0x4000", "# c", "device x"], ["device x"], [])),
+    st.lists(lines, max_size=5),
+    st.sampled_from(("\n", "\r\n", "\n\n")))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=texts)
+@example(text=SHIPPED["e1000e.manifest"])
+@example(text=SHIPPED["e1000e-example.manifest"])
+@example(text="device x\nbar 0x4000\nreg TXD 0x3900 8 RW repeat=64 stride=0x10\n")
+@example(text="device x\nbar 0x4000\nreg TXD 0x0 8 RW repeat= stride=0x10\n")
+@example(text="device x\nbar 0x4000\nreg TXD 0x0 8 RW stride=0x10 repeat=2\n")
+@example(text="device x\nbar 0x4000\nreg TXD 0x0 8 RW REPEAT=2 stride=0x10\n")
+@example(text="device x\nbar 0x4000\nreg TXD 0x0 8 RW repeat=2 Stride=0x10\n")
+@example(text="device x\nbar 0x4000\nreg TXD 0x0 8 RW repeat==2 stride=0x10\n")
+@example(text="device x\nbar 0x4000\nreg TXD 0x0 8 RW repeat=2= stride=0x10\n")
+@example(text="device x\nbar 0x4000\nreg TXD 0x0 8 RW repeat stride\n")
+@example(text="device x\nbar 0x4000\nreg TXD 0x0 8 rw\n")
+@example(text="device x\nbar 0x4000\nreg TXD 0x0 8 KERNEL repeat=2 stride=0x10\n")
+def test_parse_agrees_with_the_reference_parser(text):
+    assert _parse_outcome(parse, text) == _parse_outcome(reference_parse, text)
 
 
 # -- shipped files ----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import struct
 
 import pytest
 
@@ -6,6 +7,7 @@ from capslice.netstack import (
     DecodeError,
     HEADERS,
     MAX_FRAME,
+    MAX_IP_LENGTH,
     MAX_PAYLOAD,
     Reject,
     UdpEndpoint,
@@ -233,6 +235,38 @@ def test_multi_defect_frames_reject_in_check_order(defects, refix, reason):
     with pytest.raises(DecodeError) as err:
         decode_udp(bytes(frame))
     assert err.value.reason is reason
+
+
+def _hand_built_frame(payload):
+    # encode_udp refuses a payload above MAX_PAYLOAD, so this builds the
+    # frame it would have built, sealed with the reference checksum.
+    udp_len = 8 + len(payload)
+    ip = bytearray(struct.pack("!BBHHHBBH4s4s", 0x45, 0, 20 + udp_len, 0, 0, 64, 17, 0,
+                               A.ipv4, B.ipv4))
+    ip[10:12] = ((~ref_ones_complement(bytes(ip))) & 0xFFFF).to_bytes(2, "big")
+    pseudo = struct.pack("!4s4sxBHHHHH", A.ipv4, B.ipv4, 17, udp_len,
+                         A.port, B.port, udp_len, 0)
+    csum = (~ref_ones_complement(pseudo + payload)) & 0xFFFF or 0xFFFF
+    udp = struct.pack("!HHHH", A.port, B.port, udp_len, csum)
+    return B.mac + A.mac + b"\x08\x00" + bytes(ip) + udp + payload
+
+
+def test_hand_built_frame_matches_the_encoder():
+    payload = bytes(random.Random(5).randrange(256) for _ in range(MAX_PAYLOAD))
+    assert _hand_built_frame(payload) == encode_udp(A, B, payload)
+
+
+@pytest.mark.parametrize("extra", [1, 4, 100])
+def test_ip_length_above_the_mtu_is_rejected(extra):
+    # Checksum-valid and self-consistent, but `extra` bytes over the MTU: the
+    # encoder could never echo it, so the decoder does not accept it.
+    frame = _hand_built_frame((bytes(range(256)) * 7)[:MAX_PAYLOAD + extra])
+    assert len(frame) == MAX_FRAME + extra
+    assert int.from_bytes(frame[16:18], "big") == MAX_IP_LENGTH + extra
+    with pytest.raises(DecodeError) as err:
+        decode_udp(frame)
+    assert err.value.reason is Reject.IP_LENGTH
+    assert echo_reply(frame) is None
 
 
 # -- echo -------------------------------------------------------------------------

@@ -147,6 +147,40 @@ def test_bulk_copy_cost_and_roundtrip():
     assert space.clock == t0 + 2 * 0.25 * len(payload)
 
 
+def free_copy_space():
+    # `--copy-ns-per-byte 0` is legal; a negative count then costs -0.0 ns,
+    # which no clock check can refuse.
+    space, authority = PhysSpace.create(0x20000, AccessCostTable(copy_per_byte_ns=0.0))
+    space.add_region(0x0, 0x10000, name="ram")
+    space.data[0x100:0x110] = bytes(range(1, 17))
+    return space, with_cursor(authority.issue_root(0, 0x10000, PERM_RW), 0x108)
+
+
+@pytest.mark.parametrize("op,args,kind", [
+    ("load_bytes", (-1,), FaultKind.BOUNDS_VIOLATION),
+    ("load_bytes", (-2,), FaultKind.BOUNDS_VIOLATION),
+    ("load_bytes", (-0x108,), FaultKind.BOUNDS_VIOLATION),
+    ("store", (-2, 0xAA), FaultKind.ALIGNMENT_FAULT),
+    ("store", (-2, 0xAA, 4), FaultKind.ALIGNMENT_FAULT),
+    ("store", (2, 0xAA, -0x109), FaultKind.BOUNDS_VIOLATION),
+])
+def test_negative_width_or_offset_faults_and_charges_nothing(op, args, kind):
+    space, cap = free_copy_space()
+    before = bytes(space.data)
+    with pytest.raises(CapFault) as err:
+        getattr(space, op)(cap, *args)
+    assert err.value.kind is kind
+    assert space.clock == 0.0
+    assert bytes(space.data) == before
+
+
+def test_empty_bulk_load_stays_legal():
+    space, cap = free_copy_space()
+    assert space.load_bytes(cap, 0) == b""
+    assert space.load_bytes(with_cursor(cap, 0xFFFF), 0) == b""
+    assert space.clock == 0.0
+
+
 # -- tagged memory -------------------------------------------------------------
 
 def test_cap_store_load_roundtrip():
