@@ -23,7 +23,8 @@ from .driver import Driver
 from .kernel import (ApiError, DESC_SIZE, DMA_LENGTH, DMA_MANIFEST, DMA_RX_RING, Kernel,
                      RING_SIZE)
 from .manifest import Manifest, PermClass, expand, parse
-from .netstack import DecodeError, UdpEndpoint, decode_udp, echo_reply, encode_udp
+from .netstack import (UDP_DPORT_AT, DecodeError, UdpEndpoint, carried_udp_checksum, decode_udp,
+                       echo_reply, encode_udp)
 from .nic import BAR_LENGTH, PRIVILEGED, FrameLink, NicModel
 from .physmem import AccessCostTable, PhysSpace
 from .slicer import AUDIT_READ, AUDIT_WRITE, SliceTable, audit_reachability
@@ -157,6 +158,11 @@ class LoadGenerator:
 
     The trial index rides in the UDP source port (the echo swaps ports),
     so replies match their requests even if intervening frames dropped.
+
+    Each request in flight keeps the echo it expects, built by `encode_udp`
+    with the request's UDP checksum as `echo_reply` builds it. A reply equal
+    to it byte for byte is accepted without decoding; any other reply is
+    decoded and matched by port and payload, so the outcome is the same.
     """
 
     MAX_TRIALS = 20000  # one source port per trial
@@ -177,6 +183,7 @@ class LoadGenerator:
         self.next_to_send = 0
         self.received = 0
         self.mismatches = 0
+        self._expected: dict[int, bytes] = {}  # trial -> its echo, until accepted
         self._send_scheduled = False
         self._drain_scheduled = False
 
@@ -201,7 +208,9 @@ class LoadGenerator:
         k = self.next_to_send
         ep = m.endpoint
         src = UdpEndpoint(ep.mac, ep.ipv4, ep.port + k)
-        frame = encode_udp(src, self.dst, self.payloads[k])
+        payload = self.payloads[k]
+        frame = encode_udp(src, self.dst, payload)
+        self._expected[k] = encode_udp(self.dst, src, payload, carried_udp_checksum(frame))
         stamp = m.space.clock
         m.driver.send(frame)
         self.send_times.append(stamp)
@@ -217,16 +226,23 @@ class LoadGenerator:
         self._drain_scheduled = False
         m = self.machine
         m.space.advance_to(t)
+        expected = self._expected
         for frame in m.driver.poll_recv():
-            try:
-                _, dst_ep, payload = decode_udp(frame)
-            except DecodeError:
-                self.mismatches += 1
-                continue
-            k = dst_ep.port - m.endpoint.port
-            if not (0 <= k < self.next_to_send) or payload != self.payloads[k]:
-                self.mismatches += 1
-                continue
+            # The destination port names the trial; byte equality checks the rest.
+            k = int.from_bytes(frame[UDP_DPORT_AT:UDP_DPORT_AT + 2], "big") - m.endpoint.port
+            if expected.get(k) == frame:
+                del expected[k]
+            else:
+                try:
+                    _, dst_ep, payload = decode_udp(frame)
+                except DecodeError:
+                    self.mismatches += 1
+                    continue
+                k = dst_ep.port - m.endpoint.port
+                if not (0 <= k < self.next_to_send) or payload != self.payloads[k]:
+                    self.mismatches += 1
+                    continue
+                expected.pop(k, None)
             self.rtts.append(m.space.clock - self.send_times[k])
             self.received += 1
         self._schedule_send()

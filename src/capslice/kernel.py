@@ -132,12 +132,6 @@ class DmaLayout:
     def rx_ring(self) -> int:
         return self.base + DMA_RX_RING
 
-    def tx_buf(self, k: int) -> int:
-        return self.base + DMA_TX_BUFS + k * BUF_SIZE
-
-    def rx_buf(self, k: int) -> int:
-        return self.base + DMA_RX_BUFS + k * BUF_SIZE
-
     @property
     def bufs_base(self) -> int:
         return self.base + DMA_TX_BUFS
@@ -336,7 +330,8 @@ class Kernel:
 
         # Preprogram every descriptor to its paired buffer so the data
         # path never needs the kernel to fix addresses: descriptor k holds
-        # the address `dma.tx_buf(k)` or `dma.rx_buf(k)` returns.
+        # the address of buffer k, `BUF_SIZE` bytes each from `DMA_TX_BUFS`
+        # or `DMA_RX_BUFS`.
         tx_buf, rx_buf = dma_base + DMA_TX_BUFS, dma_base + DMA_RX_BUFS
         for k in range(RING_SIZE):
             tx, rx = DMA_TX_RING + k * DESC_SIZE, DMA_RX_RING + k * DESC_SIZE

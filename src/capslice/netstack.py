@@ -31,20 +31,33 @@ _PSEUDO = struct.Struct("!4s4sxBH")
 _PSEUDO_UDP = struct.Struct(_PSEUDO.format + "HHHH")
 # Ethernet II + IPv4 + UDP headers, read or written in one call.
 _FRAME_HEADERS = struct.Struct("!6s6sH" "BBHHHBBH4s4s" "HHHH")
+# Where the UDP destination port and checksum fields sit in a frame.
+UDP_DPORT_AT = ETH_HEADER + IPV4_HEADER + 2
+UDP_CSUM_AT = ETH_HEADER + IPV4_HEADER + 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class UdpEndpoint:
     mac: bytes
     ipv4: bytes
     port: int
 
-    def __post_init__(self):
+    def __init__(self, mac: bytes, ipv4: bytes, port: int):
         # Not an assert: under `python -O` it would vanish, and struct's 6s/4s
         # would then pad or truncate a bad address without a word.
-        if len(self.mac) != 6 or len(self.ipv4) != 4:
+        if len(mac) != 6 or len(ipv4) != 4:
             raise ValueError(f"endpoint needs a 6-byte MAC and a 4-byte IPv4 address,"
-                             f" got {len(self.mac)} and {len(self.ipv4)} bytes")
+                             f" got {len(mac)} and {len(ipv4)} bytes")
+        # Slot setters directly, as `Capability` does: the frozen class's
+        # own __setattr__ refuses, and object.__setattr__ is slower.
+        _set_mac(self, mac)
+        _set_ipv4(self, ipv4)
+        _set_port(self, port)
+
+
+_set_mac = UdpEndpoint.mac.__set__
+_set_ipv4 = UdpEndpoint.ipv4.__set__
+_set_port = UdpEndpoint.port.__set__
 
 
 class Reject(Enum):
@@ -85,8 +98,13 @@ def _checksum(data: bytes) -> int:
     return (~ones_complement_sum(data)) & 0xFFFF
 
 
-def encode_udp(src: UdpEndpoint, dst: UdpEndpoint, payload: bytes) -> bytes:
-    """Build one Ethernet+IPv4+UDP frame. Deterministic: fixed id/ttl/flags."""
+def encode_udp(src: UdpEndpoint, dst: UdpEndpoint, payload: bytes,
+               udp_csum: int | None = None) -> bytes:
+    """Build one Ethernet+IPv4+UDP frame. Deterministic: fixed id/ttl/flags.
+
+    `udp_csum`, when given, is the UDP checksum this frame must carry and is
+    not recomputed: the caller knows it from a frame over the same words
+    (see `echo_reply`)."""
     if len(payload) > MAX_PAYLOAD:
         raise ValueError(f"payload {len(payload)} exceeds {MAX_PAYLOAD}")
 
@@ -95,10 +113,11 @@ def encode_udp(src: UdpEndpoint, dst: UdpEndpoint, payload: bytes) -> bytes:
 
     ip_csum = _checksum(
         _IPV4.pack(0x45, 0, ip_len, 0, 0, 64, IP_PROTO_UDP, 0, src.ipv4, dst.ipv4))
-    udp_csum = _checksum(_PSEUDO_UDP.pack(src.ipv4, dst.ipv4, IP_PROTO_UDP, udp_len,
-                                          src.port, dst.port, udp_len, 0) + payload)
-    if udp_csum == 0:
-        udp_csum = 0xFFFF  # transmitted checksum of zero means "none"; never emit it
+    if udp_csum is None:
+        udp_csum = _checksum(_PSEUDO_UDP.pack(src.ipv4, dst.ipv4, IP_PROTO_UDP, udp_len,
+                                              src.port, dst.port, udp_len, 0) + payload)
+        if udp_csum == 0:
+            udp_csum = 0xFFFF  # transmitted checksum of zero means "none"; never emit it
 
     return _FRAME_HEADERS.pack(
         dst.mac, src.mac, ETHERTYPE_IPV4,
@@ -142,13 +161,27 @@ def decode_udp(frame: bytes) -> tuple[UdpEndpoint, UdpEndpoint, bytes]:
     )
 
 
+def carried_udp_checksum(frame: bytes) -> int:
+    """The UDP checksum field of a frame, as transmitted."""
+    return frame[UDP_CSUM_AT] << 8 | frame[UDP_CSUM_AT + 1]
+
+
 def echo_reply(frame: bytes) -> bytes | None:
     """Echo-server step: swap MACs/IPs/ports, keep the payload byte-identical.
 
     Returns None for anything that is not a valid UDP frame.
+
+    The reply carries the request's UDP checksum. Swapping the addresses and
+    ports only reorders the 16-bit words that checksum sums, and a ones'
+    complement sum does not depend on their order (RFC 1071 section 2).
+    A checksum that verifies is unique but for the pair 0 and 0xFFFF;
+    `decode_udp` refuses a carried 0 and `encode_udp` never emits one, so
+    the carried value is the one `encode_udp` would compute. The IP header
+    checksum is computed afresh: the request's TOS, ID and TTL need not be
+    the ones the reply carries.
     """
     try:
         src, dst, payload = decode_udp(frame)
     except DecodeError:
         return None
-    return encode_udp(dst, src, payload)
+    return encode_udp(dst, src, payload, carried_udp_checksum(frame))

@@ -80,11 +80,13 @@ class PhysSpace:
         self.data = mmap.mmap(-1, size)
         self.tags = bytearray((size + GRANULE - 1) // GRANULE)
         self.regions: list[Region] = []
-        # The region region_for found last, as plain ints and its device
-        # (None for RAM). Accesses cluster (mostly RAM, now and then the
-        # BAR), so most of them test these bounds and never call region_for.
-        # The empty [0, 0) misses every access until the first lookup.
-        self._lo = self._hi = 0
+        # The RAM region and the device region region_for found last, as
+        # plain ints, and that device. A ring engine alternates RAM, the BAR
+        # and DMA, so most accesses test one of these bounds and never call
+        # region_for. The empty [0, 0) misses every access until the first
+        # lookup.
+        self._ram_lo = self._ram_hi = 0
+        self._dev_lo = self._dev_hi = 0
         self._dev: Optional[MmioDevice] = None
         self.clock: float = 0.0
         self.costs = costs or AccessCostTable()
@@ -120,12 +122,28 @@ class PhysSpace:
         return region
 
     def region_for(self, addr: int, width: int) -> Region:
-        """The one region holding [addr, addr + width); it becomes the cached one."""
+        """The one region holding [addr, addr + width); it becomes the cached
+        RAM or device region."""
         for r in self.regions:
             if r.base <= addr and addr + width <= r.base + r.length:
-                self._lo, self._hi, self._dev = r.base, r.base + r.length, r.device
+                if r.device is None:
+                    self._ram_lo, self._ram_hi = r.base, r.base + r.length
+                else:
+                    self._dev_lo, self._dev_hi, self._dev = r.base, r.base + r.length, r.device
                 return r
         raise ValueError(f"access [{addr:#x},{addr + width:#x}) maps to no single region")
+
+    def _find_ram(self, addr: int, count: int, refusal: str) -> None:
+        """Cache the RAM region holding [addr, addr + count), or raise.
+
+        A bulk copy or DMA is RAM-only, so an empty range at the seam of a
+        device and a RAM region is RAM, whichever of the two comes first."""
+        for r in self.regions:
+            if r.device is None and r.base <= addr and addr + count <= r.base + r.length:
+                self._ram_lo, self._ram_hi = r.base, r.base + r.length
+                return
+        self.region_for(addr, count)  # no single region at all is its own error
+        raise ValueError(refusal)
 
     # -- clock -----------------------------------------------------------
 
@@ -156,41 +174,41 @@ class PhysSpace:
         if width not in DATA_WIDTHS:
             raise CapFault(FaultKind.ALIGNMENT_FAULT, addr, f"bad access width {width}")
         check_access(cap, width, READ_MASK, offset)
-        if addr < self._lo or addr + width > self._hi:
-            self.region_for(addr, width)
-        device = self._dev
-        if device is None:
+        # RAM if the cached RAM region holds the access, or if the cached
+        # device region does not and a lookup finds RAM (a width is never 0,
+        # so at most one region holds it); otherwise the lookup cached the device.
+        if (self._ram_lo <= addr and addr + width <= self._ram_hi
+                or not (self._dev_lo <= addr and addr + width <= self._dev_hi)
+                and self.region_for(addr, width).device is None):
             self.clock += self.costs.ram_access_ns
             return int.from_bytes(self.data[addr:addr + width], "little")
         self.clock += self.costs.mmio_access_ns
-        return device.mmio_read(self, addr - self._lo, width)
+        return self._dev.mmio_read(self, addr - self._dev_lo, width)
 
     def store(self, cap: Capability, width: int, value: int, offset: int = 0) -> None:
         addr = cap.cursor + offset
         if width not in DATA_WIDTHS:
             raise CapFault(FaultKind.ALIGNMENT_FAULT, addr, f"bad access width {width}")
         check_access(cap, width, WRITE_MASK, offset)
-        if addr < self._lo or addr + width > self._hi:
-            self.region_for(addr, width)
-        device = self._dev
-        if device is None:
+        # Found as load finds it.
+        if (self._ram_lo <= addr and addr + width <= self._ram_hi
+                or not (self._dev_lo <= addr and addr + width <= self._dev_hi)
+                and self.region_for(addr, width).device is None):
             self.clock += self.costs.ram_access_ns
             self.data[addr:addr + width] = value.to_bytes(width, "little")
             if self._cap_shadow:
                 self._clear_tags(addr, width)
         else:
             self.clock += self.costs.mmio_access_ns
-            device.mmio_write(self, addr - self._lo, width, value)
+            self._dev.mmio_write(self, addr - self._dev_lo, width, value)
 
     # -- bulk data copies (RAM only) ----------------------------------------
 
     def load_bytes(self, cap: Capability, count: int) -> bytes:
         check_access(cap, count, READ_MASK)
         addr = cap.cursor
-        if addr < self._lo or addr + max(count, 1) > self._hi:
-            self.region_for(addr, max(count, 1))
-        if self._dev is not None:
-            raise ValueError("bulk loads are RAM-only")
+        if addr < self._ram_lo or addr + count > self._ram_hi:
+            self._find_ram(addr, count, "bulk loads are RAM-only")
         self.clock += self.costs.copy_per_byte_ns * count  # check_access refused count < 0
         return self.data[addr:addr + count]
 
@@ -198,10 +216,8 @@ class PhysSpace:
         count = len(payload)
         check_access(cap, count, WRITE_MASK)
         addr = cap.cursor
-        if addr < self._lo or addr + max(count, 1) > self._hi:
-            self.region_for(addr, max(count, 1))
-        if self._dev is not None:
-            raise ValueError("bulk stores are RAM-only")
+        if addr < self._ram_lo or addr + count > self._ram_hi:
+            self._find_ram(addr, count, "bulk stores are RAM-only")
         self.clock += self.costs.copy_per_byte_ns * count
         self.data[addr:addr + count] = payload
         if count and self._cap_shadow:
@@ -244,18 +260,16 @@ class PhysSpace:
     # -- device-side DMA (no capability in the loop; the device is hardware) --
 
     def dma_read(self, addr: int, count: int) -> bytes:
-        if addr < self._lo or addr + max(count, 1) > self._hi:
-            self.region_for(addr, max(count, 1))
-        if self._dev is not None:
-            raise ValueError("DMA targets RAM")
+        if count < 0:
+            raise ValueError(f"DMA of {count} bytes")
+        if addr < self._ram_lo or addr + count > self._ram_hi:
+            self._find_ram(addr, count, "DMA targets RAM")
         return self.data[addr:addr + count]
 
     def dma_write(self, addr: int, payload: bytes) -> None:
         count = len(payload)
-        if addr < self._lo or addr + max(count, 1) > self._hi:
-            self.region_for(addr, max(count, 1))
-        if self._dev is not None:
-            raise ValueError("DMA targets RAM")
+        if addr < self._ram_lo or addr + count > self._ram_hi:
+            self._find_ram(addr, count, "DMA targets RAM")
         self.data[addr:addr + count] = payload
         if count and self._cap_shadow:
             self._clear_tags(addr, count)

@@ -2,6 +2,7 @@ import gc
 from dataclasses import replace
 
 import pytest
+from conftest import capture
 
 from capslice import harness, kernel, physmem
 from capslice.harness import (
@@ -18,7 +19,8 @@ from capslice.harness import (
 )
 from capslice.kernel import ApiError, ErrCode
 from capslice.manifest import PermClass, parse
-from capslice.netstack import DecodeError, Reject
+from capslice.netstack import MAX_PAYLOAD, DecodeError, Reject, echo_reply, ones_complement_sum
+from capslice.nic import FrameLink
 from capslice.physmem import AccessCostTable
 
 
@@ -72,6 +74,34 @@ def test_checked_access_count_per_cell_is_pinned(monkeypatch, mode, delay_us):
     cell = run_cell(small_cfg(delays_us=(delay_us,), trials=20), 64, delay_us, mode)
     assert cell.drops == 0
     assert len(calls) == CHECKED_ACCESSES[(mode, delay_us)]
+
+
+# PhysSpace.region_for calls in the same cells. The space keeps the last RAM
+# and the last device region it found, so the only calls left are the three
+# roots each machine's kernel issues; every access after them hits a cached
+# region. Recorded before the device region had its own slot, when the four
+# cells made 143, 173, 141 and 173 calls.
+REGION_LOOKUPS = {
+    (MODE_BYPASS, 0): 6,
+    (MODE_BYPASS, 1000): 6,
+    (MODE_MEDIATED, 0): 6,
+    (MODE_MEDIATED, 1000): 6,
+}
+
+
+@pytest.mark.parametrize("mode,delay_us", sorted(REGION_LOOKUPS))
+def test_region_lookup_count_per_cell_is_pinned(monkeypatch, mode, delay_us):
+    calls = []
+    region_for = physmem.PhysSpace.region_for
+
+    def counted(space, *args):
+        calls.append(None)
+        return region_for(space, *args)
+
+    monkeypatch.setattr(physmem.PhysSpace, "region_for", counted)
+    cell = run_cell(small_cfg(delays_us=(delay_us,), trials=20), 64, delay_us, mode)
+    assert cell.drops == 0
+    assert len(calls) == REGION_LOOKUPS[(mode, delay_us)]
 
 
 def test_mediated_slower_at_zero_delay():
@@ -209,10 +239,90 @@ class _NotADecodeError(Exception):
     pass
 
 
+def _echo_rewritten(monkeypatch, rewrite):
+    """Make the echo server send `rewrite(reply)` instead of its reply."""
+    echo = harness.echo_reply
+    monkeypatch.setattr(harness, "echo_reply", lambda frame: rewrite(echo(frame)))
+
+
+def _flip_last_byte(frame):
+    return frame[:-1] + bytes([frame[-1] ^ 1])
+
+
+def _with_ttl(frame, ttl):
+    ip = bytearray(frame[14:34])
+    ip[8] = ttl
+    ip[10:12] = bytes(2)
+    ip[10:12] = ((~ones_complement_sum(bytes(ip))) & 0xFFFF).to_bytes(2, "big")
+    return frame[:14] + bytes(ip) + frame[34:]
+
+
+def _count_decodes(monkeypatch):
+    calls = []
+    decode = harness.decode_udp
+
+    def counted(frame):
+        calls.append(None)
+        return decode(frame)
+
+    monkeypatch.setattr(harness, "decode_udp", counted)
+    return calls
+
+
+def _record_generators(monkeypatch):
+    made = []
+
+    class Recorded(harness.LoadGenerator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(harness, "LoadGenerator", Recorded)
+    return made
+
+
+def test_expected_echo_equals_the_servers_reply():
+    link = FrameLink()
+    got = capture(link)
+    peer = harness.build_machine("peer", MODE_BYPASS, harness.PEER_ENDPOINT, link=link)
+    blob = bytes(range(256)) * 6
+    payloads = [blob[:n] for n in (0, 1, MAX_PAYLOAD - 1, MAX_PAYLOAD)]
+    gen = harness.LoadGenerator(peer, harness.EventLoop(), payloads, harness.SUT_ENDPOINT,
+                                delay_ns=0.0, window=len(payloads))
+    for _ in payloads:
+        gen._send(peer.space.clock)
+    requests = [frame for _, frame in got[1]]
+    assert [len(f) - 42 for f in requests] == [0, 1, 1471, 1472]
+    assert [gen._expected[k] for k in range(4)] == [echo_reply(f) for f in requests]
+
+
+def test_byte_equal_echoes_skip_the_decoder(monkeypatch):
+    calls = _count_decodes(monkeypatch)
+    made = _record_generators(monkeypatch)
+    cell = run_cell(small_cfg(trials=20), 64, 0, MODE_BYPASS)
+    assert cell.drops == 0 and calls == []
+    assert made[0]._expected == {}  # each expected echo is dropped once accepted
+
+
+@pytest.mark.parametrize("mode", [MODE_BYPASS, MODE_MEDIATED])
+def test_a_valid_echo_with_another_ttl_is_accepted_by_decoding(monkeypatch, mode):
+    cfg = small_cfg(delays_us=(0, 1000), trials=20)
+    plain = [run_cell(cfg, 64, delay, mode) for delay in (0, 1000)]
+    _echo_rewritten(monkeypatch, lambda reply: _with_ttl(reply, 63))
+    calls = _count_decodes(monkeypatch)
+    made = _record_generators(monkeypatch)
+    rewritten = [run_cell(cfg, 64, delay, mode) for delay in (0, 1000)]
+    assert rewritten == plain
+    assert len(calls) == 2 * 20
+    assert [gen._expected for gen in made] == [{}, {}]
+
+
 def test_drain_counts_only_decode_errors_as_mismatches(monkeypatch):
     def reject(frame):
         raise DecodeError(Reject.UDP_CHECKSUM)
 
+    # A reply that is not the expected echo byte for byte goes to the decoder.
+    _echo_rewritten(monkeypatch, _flip_last_byte)
     monkeypatch.setattr(harness, "decode_udp", reject)
     with pytest.raises(RuntimeError, match="5 corrupted echoes"):
         run_cell(small_cfg(trials=5), 64, 0, MODE_BYPASS)
@@ -222,6 +332,7 @@ def test_drain_propagates_other_errors(monkeypatch):
     def broken(frame):
         raise _NotADecodeError("decoder bug")
 
+    _echo_rewritten(monkeypatch, _flip_last_byte)
     monkeypatch.setattr(harness, "decode_udp", broken)
     with pytest.raises(_NotADecodeError, match="decoder bug"):
         run_cell(small_cfg(trials=5), 64, 0, MODE_BYPASS)

@@ -34,6 +34,8 @@ from capslice.kernel import (
     BUF_SIZE,
     DESC_SIZE,
     DMA_LENGTH,
+    DMA_RX_BUFS,
+    DMA_TX_BUFS,
     ErrCode,
     Kernel,
     RING_SIZE,
@@ -90,8 +92,8 @@ def test_stub_attach_brings_link_up():
 def test_stub_preprograms_descriptors_to_paired_buffers():
     m, dev = rig()
     for k in range(RING_SIZE):
-        assert desc_addr(m, dev.dma.rx_ring, k) == dev.dma.rx_buf(k)
-        assert desc_addr(m, dev.dma.tx_ring, k) == dev.dma.tx_buf(k)
+        assert desc_addr(m, dev.dma.rx_ring, k) == dev.dma.base + DMA_RX_BUFS + k * BUF_SIZE
+        assert desc_addr(m, dev.dma.tx_ring, k) == dev.dma.base + DMA_TX_BUFS + k * BUF_SIZE
 
 
 def test_stub_initial_ring_registers():
@@ -413,7 +415,7 @@ def test_ioctl_rejects_capability_shorter_than_a_buffer():
         with pytest.raises(ApiError) as err:
             m.kernel.ioctl_set_desc_addr(m.token, "tx", 0, buf)
         assert err.value.code is ErrCode.DENIED
-        assert desc_addr(m, dev.dma.tx_ring, 0) == dev.dma.tx_buf(0)
+        assert desc_addr(m, dev.dma.tx_ring, 0) == dev.dma.base + DMA_TX_BUFS
     frame = bytes(1514)
     m.driver.send(frame)
     assert [f for _, f in got[1]] == [frame]

@@ -1,7 +1,11 @@
+import pickle
 import random
 import struct
+from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capslice.netstack import (
     DecodeError,
@@ -47,8 +51,25 @@ def test_frame_length_arithmetic():
 def test_endpoint_rejects_bad_address_lengths(mac, ipv4):
     # A ValueError, not an assert: it must hold under `python -O` too, where
     # struct's 6s/4s would otherwise pad or truncate the address.
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^endpoint needs a 6-byte MAC and a 4-byte IPv4"
+                                         f" address, got {len(mac)} and {len(ipv4)} bytes$"):
         UdpEndpoint(mac=mac, ipv4=ipv4, port=7)
+
+
+def test_endpoint_is_an_immutable_hashable_picklable_value():
+    a = UdpEndpoint(b"\x02" * 6, bytes(4), 7)
+    assert a == UdpEndpoint(mac=b"\x02" * 6, ipv4=bytes(4), port=7)
+    assert hash(a) == hash(UdpEndpoint(b"\x02" * 6, bytes(4), 7))
+    assert a != UdpEndpoint(b"\x02" * 6, bytes(4), 8)
+    assert len({a, UdpEndpoint(b"\x02" * 6, bytes(4), 7), B}) == 2
+    for field, value in (("mac", bytes(6)), ("ipv4", bytes(4)), ("port", 8)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(a, field, value)
+    with pytest.raises((AttributeError, TypeError)):
+        a.extra = 1  # slotted: no per-instance dict
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(a, protocol))
+        assert copy == a and hash(copy) == hash(a)
 
 
 def test_payload_too_large_rejected():
@@ -295,3 +316,86 @@ def test_echo_ignores_corrupt_frames():
     frame = bytearray(encode_udp(A, B, b"x"))
     frame[-1] ^= 0xFF
     assert echo_reply(bytes(frame)) is None
+
+
+# -- echo against the encoder it replaced --------------------------------------------
+# `echo_reply` carries the request's UDP checksum over; the reference below
+# is `encode_udp` as it was before it could take a known checksum, so it
+# sums the pseudo-header and payload again.
+
+def reference_encode_udp(src, dst, payload):
+    udp_len = 8 + len(payload)
+    ip_len = 20 + udp_len
+    ip = struct.pack("!BBHHHBBH4s4s", 0x45, 0, ip_len, 0, 0, 64, 17, 0, src.ipv4, dst.ipv4)
+    ip_csum = (~ones_complement_sum(ip)) & 0xFFFF
+    pseudo_udp = struct.pack("!4s4sxBHHHHH", src.ipv4, dst.ipv4, 17, udp_len,
+                             src.port, dst.port, udp_len, 0)
+    udp_csum = (~ones_complement_sum(pseudo_udp + payload)) & 0xFFFF
+    if udp_csum == 0:
+        udp_csum = 0xFFFF
+    return struct.pack("!6s6sH" "BBHHHBBH4s4s" "HHHH",
+                       dst.mac, src.mac, 0x0800,
+                       0x45, 0, ip_len, 0, 0, 64, 17, ip_csum, src.ipv4, dst.ipv4,
+                       src.port, dst.port, udp_len, udp_csum) + payload
+
+
+def reference_echo(frame):
+    try:
+        src, dst, payload = decode_udp(frame)
+    except DecodeError:
+        return None
+    return reference_encode_udp(dst, src, payload)
+
+
+def request(src, dst, payload, tos=0, ident=0, frag=0, ttl=64, padding=b""):
+    """A valid request with any TOS, ID, flags/fragment and TTL, its IP
+    checksum repaired, and `padding` after the datagram."""
+    frame = bytearray(reference_encode_udp(src, dst, payload))
+    struct.pack_into("!BBHHHBBH", frame, 14, 0x45, tos, 28 + len(payload), ident, frag,
+                     ttl, 17, 0)
+    _refix_ip_checksum(frame)
+    return bytes(frame) + padding
+
+
+def _all_ones_payload():
+    # A 2-byte payload that brings the UDP sum to 0xFFFF, so the computed
+    # checksum is 0 and goes on the wire as 0xFFFF.
+    base = ones_complement_sum(struct.pack("!4s4sxBHHHHH", A.ipv4, B.ipv4, 17, 10,
+                                           A.port, B.port, 10, 0))
+    return (0xFFFF - base).to_bytes(2, "big")
+
+
+ALL_ONES = request(A, B, _all_ones_payload())
+
+endpoints = st.builds(UdpEndpoint, st.binary(min_size=6, max_size=6),
+                      st.binary(min_size=4, max_size=4), st.integers(0, 0xFFFF))
+requests = st.builds(request, endpoints, endpoints, st.binary(max_size=MAX_PAYLOAD),
+                     st.integers(0, 0xFF), st.integers(0, 0xFFFF), st.integers(0, 0xFFFF),
+                     st.integers(0, 0xFF), st.binary(max_size=46))
+
+
+def test_all_ones_request_carries_0xffff():
+    assert int.from_bytes(ALL_ONES[40:42], "big") == 0xFFFF
+    assert echo_reply(ALL_ONES) == reference_echo(ALL_ONES) is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame=requests, corrupt=st.one_of(st.none(), st.integers(0, 1 << 20)),
+       cut=st.booleans())
+@example(frame=ALL_ONES, corrupt=None, cut=False)
+@example(frame=request(A, B, b"", tos=0xB8, ident=0xFFFF, ttl=1), corrupt=None, cut=False)
+@example(frame=request(A, B, bytes(MAX_PAYLOAD), padding=bytes(4)), corrupt=None, cut=False)
+def test_echo_matches_the_reference_encoder(frame, corrupt, cut):
+    datagram_end = 14 + int.from_bytes(frame[16:18], "big")
+    if corrupt is not None:
+        # Any one bit from the ethertype to the datagram's end is covered
+        # by the IP or the UDP checksum, or fails a structural check.
+        bit = 12 * 8 + corrupt % ((datagram_end - 12) * 8)
+        mutated = bytearray(frame)
+        mutated[bit // 8] ^= 1 << bit % 8
+        frame = bytes(mutated)
+    elif cut:
+        frame = frame[:datagram_end - 1]
+    got = echo_reply(frame)
+    assert got == reference_echo(frame)
+    assert (got is None) == (corrupt is not None or cut)

@@ -6,6 +6,7 @@ from conftest import capture
 from capslice import nic as nicmod
 from capslice.capability import PERM_RW, with_cursor
 from capslice.harness import BAR_BASE, SUT_ENDPOINT, build_machine
+from capslice.kernel import BUF_SIZE, DMA_RX_BUFS, DMA_TX_BUFS
 from capslice.nic import (
     DESC_DD,
     DESC_ERR,
@@ -31,6 +32,14 @@ def rig():
     return m, dev, capture(link)
 
 
+def tx_buf(dev, k):
+    return dev.dma.base + DMA_TX_BUFS + k * BUF_SIZE
+
+
+def rx_buf(dev, k):
+    return dev.dma.base + DMA_RX_BUFS + k * BUF_SIZE
+
+
 def wr_desc(m, dev, ring_addr, index, buf_addr, length, status=0):
     base = ring_addr + index * DESC_SIZE
     m.space.dma_write(base, buf_addr.to_bytes(8, "little"))
@@ -52,8 +61,8 @@ def mmio(m, dev, offset, value=None):
 def test_tdt_write_emits_frame_and_sets_dd():
     m, dev, got = rig()
     payload = bytes(range(60))
-    m.space.dma_write(dev.dma.tx_buf(0), payload)
-    wr_desc(m, dev, dev.dma.tx_ring, 0, dev.dma.tx_buf(0), len(payload))
+    m.space.dma_write(tx_buf(dev, 0), payload)
+    wr_desc(m, dev, dev.dma.tx_ring, 0, tx_buf(dev, 0), len(payload))
     mmio(m, dev, REG_TDT, 1)
     assert m.nic.counters.tx_frames == 1
     assert [f for _, f in got[1]] == [payload]
@@ -95,8 +104,8 @@ def test_ims_write_ors_bits():
 def test_process_tx_three_ready_descriptors():
     m, dev, got = rig()
     for k in range(3):
-        m.space.dma_write(dev.dma.tx_buf(k), bytes([k]) * 32)
-        wr_desc(m, dev, dev.dma.tx_ring, k, dev.dma.tx_buf(k), 32)
+        m.space.dma_write(tx_buf(dev, k), bytes([k]) * 32)
+        wr_desc(m, dev, dev.dma.tx_ring, k, tx_buf(dev, k), 32)
     mmio(m, dev, REG_TDT, 3)
     assert m.nic.counters.tx_frames == 3
     assert mmio(m, dev, REG_TDH) == 3
@@ -118,8 +127,8 @@ def test_process_tx_wraparound():
     m, dev, got = rig()
     m.nic.regs[REG_TDH] = 63
     for k in (63, 0):
-        m.space.dma_write(dev.dma.tx_buf(k), bytes([k]) * 16)
-        wr_desc(m, dev, dev.dma.tx_ring, k, dev.dma.tx_buf(k), 16)
+        m.space.dma_write(tx_buf(dev, k), bytes([k]) * 16)
+        wr_desc(m, dev, dev.dma.tx_ring, k, tx_buf(dev, k), 16)
     mmio(m, dev, REG_TDT, 1)
     assert [f[0] for _, f in got[1]] == [63, 0]
     assert mmio(m, dev, REG_TDH) == 1
@@ -127,10 +136,10 @@ def test_process_tx_wraparound():
 
 def test_bad_length_descriptor_skipped_with_error():
     m, dev, got = rig()
-    wr_desc(m, dev, dev.dma.tx_ring, 0, dev.dma.tx_buf(0), 0)        # zero length
-    wr_desc(m, dev, dev.dma.tx_ring, 1, dev.dma.tx_buf(1), 4000)    # longer than a buffer
+    wr_desc(m, dev, dev.dma.tx_ring, 0, tx_buf(dev, 0), 0)        # zero length
+    wr_desc(m, dev, dev.dma.tx_ring, 1, tx_buf(dev, 1), 4000)    # longer than a buffer
     # fits the buffer, but is longer than the link carries
-    wr_desc(m, dev, dev.dma.tx_ring, 2, dev.dma.tx_buf(2), MAX_LINK_FRAME + 1)
+    wr_desc(m, dev, dev.dma.tx_ring, 2, tx_buf(dev, 2), MAX_LINK_FRAME + 1)
     mmio(m, dev, REG_TDT, 3)
     assert m.nic.counters.tx_frames == 0
     assert got[1] == []
@@ -157,8 +166,8 @@ def wr_desc_with_extra(m, ring_addr, index, buf_addr, length):
 def test_tx_completion_writes_only_the_status_byte(length, status):
     m, dev, got = rig()
     payload = bytes(range(60))
-    m.space.dma_write(dev.dma.tx_buf(0), payload)
-    before = wr_desc_with_extra(m, dev.dma.tx_ring, 0, dev.dma.tx_buf(0), length)
+    m.space.dma_write(tx_buf(dev, 0), payload)
+    before = wr_desc_with_extra(m, dev.dma.tx_ring, 0, tx_buf(dev, 0), length)
     mmio(m, dev, REG_TDT, 1)
     # the offload bytes change nothing about the frame sent
     assert [f for _, f in got[1]] == ([payload] if length else [])
@@ -188,7 +197,7 @@ def test_deliver_frame_fills_descriptor():
     m.space.dma_write(desc + 10, b"\xa5\x5a")  # bytes the device must not touch
     frame = bytes(range(60))
     assert m.nic.deliver_frame(m.space, frame)
-    assert m.space.dma_read(dev.dma.rx_buf(0), 60) == frame
+    assert m.space.dma_read(rx_buf(dev, 0), 60) == frame
     assert int.from_bytes(m.space.dma_read(desc + 8, 2), "little") == 60
     assert m.space.dma_read(desc + 10, 2) == b"\xa5\x5a"
     assert rd_status(m, dev.dma.rx_ring, 0) & DESC_DD
@@ -199,8 +208,8 @@ def test_deliver_back_to_back_fifo():
     m, dev, _ = rig()
     m.nic.deliver_frame(m.space, b"\x01" * 20)
     m.nic.deliver_frame(m.space, b"\x02" * 20)
-    assert m.space.dma_read(dev.dma.rx_buf(0), 1) == b"\x01"
-    assert m.space.dma_read(dev.dma.rx_buf(1), 1) == b"\x02"
+    assert m.space.dma_read(rx_buf(dev, 0), 1) == b"\x01"
+    assert m.space.dma_read(rx_buf(dev, 1), 1) == b"\x02"
     assert mmio(m, dev, REG_RDH) == 2
 
 
@@ -246,8 +255,8 @@ def test_frame_conservation_over_random_traffic():
         if rng.random() < 0.7:
             k = sent % 64
             payload = rng.randbytes(rng.randrange(1, 256))
-            a.space.dma_write(dev_a.dma.tx_buf(k), payload)
-            wr_desc(a, dev_a, dev_a.dma.tx_ring, k, dev_a.dma.tx_buf(k), len(payload))
+            a.space.dma_write(tx_buf(dev_a, k), payload)
+            wr_desc(a, dev_a, dev_a.dma.tx_ring, k, tx_buf(dev_a, k), len(payload))
             mmio(a, dev_a, REG_TDT, (k + 1) % 64)
             sent += 1
         else:

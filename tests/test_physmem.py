@@ -181,6 +181,47 @@ def test_empty_bulk_load_stays_legal():
     assert space.clock == 0.0
 
 
+@pytest.mark.parametrize("cached", ["ram", "mmio"])
+def test_empty_copy_at_the_top_of_ram_is_legal(cached):
+    # Found empty copies looked up one byte, [0x10000, 0x10001), which is
+    # the device's, and refused them although check_access allows width 0.
+    space, authority, _ = make_space()
+    cap = with_cursor(authority.issue_root(0, 0x10000, PERM_RW), 0x10000)
+    mmio = authority.issue_root(0x10000, 0x1000, PERM_RW)
+    space.load(mmio if cached == "mmio" else with_cursor(cap, 0), 4)
+    check_access(cap, 0, READ_MASK)
+    assert space.load_bytes(cap, 0) == b""
+    space.store_bytes(cap, b"")
+    assert space.dma_read(0x10000, 0) == b""
+    space.dma_write(0x10000, b"")
+    # The device's own top is not RAM.
+    with pytest.raises(ValueError, match="DMA targets RAM"):
+        space.dma_read(0x11000, 0)
+
+
+def test_empty_copy_at_a_device_ram_seam_is_ram_whichever_region_is_cached():
+    # A device directly below RAM: an empty copy at the seam lies in both,
+    # and a RAM-only copy takes it as RAM, cached region or not.
+    space, authority = PhysSpace.create(0x3000)
+    space.add_region(0x0, 0x1000, device=ScratchDevice(), name="mmio")
+    space.add_region(0x1000, 0x1000, name="ram")
+    ram = authority.issue_root(0x1000, 0x1000, PERM_RW)
+    mmio = authority.issue_root(0, 0x1000, PERM_RW)
+    for warm in (None, mmio, with_cursor(ram, 0x1800)):
+        if warm is not None:
+            space.load(warm, 4)
+        assert space.load_bytes(ram, 0) == b""
+        assert space.dma_read(0x1000, 0) == b""
+        with pytest.raises(ValueError, match="RAM-only"):
+            space.load_bytes(with_cursor(mmio, 0x800), 0)
+
+
+def test_dma_of_a_negative_count_is_refused():
+    space, _, _ = make_space()
+    with pytest.raises(ValueError, match="DMA of -1 bytes"):
+        space.dma_read(0x100, -1)
+
+
 # -- tagged memory -------------------------------------------------------------
 
 def test_cap_store_load_roundtrip():
@@ -405,8 +446,9 @@ def test_advance_keeps_its_own_check():
 # -- reference model --------------------------------------------------------------
 # A straight-line PhysSpace: every access scans the regions, charges through
 # advance and clears tags whether or not any granule is tagged. The real
-# space caches the last region's bounds and skips work it can prove is a
-# no-op; on any sequence of operations the two must agree.
+# space caches the bounds of the last RAM and the last device region it
+# found and skips work it can prove is a no-op; on any sequence of
+# operations the two must agree.
 
 class ReferenceSpace:
     def __init__(self, regions, size):
@@ -459,18 +501,25 @@ class ReferenceSpace:
             self.advance(self.costs.mmio_access_ns)
             device.mmio_write(self, addr - base, width, value)
 
+    def ram(self, addr, count, refusal):
+        # Copies and DMA are RAM-only: any RAM region holding the exact
+        # range will do, so an empty range at a seam with a device is RAM.
+        for base, length, device in self.regions:
+            if device is None and base <= addr and addr + count <= base + length:
+                return
+        self.region(addr, count)
+        raise ValueError(refusal)
+
     def load_bytes(self, cap, count):
         check_access(cap, count, READ_MASK)
-        if self.region(cap.cursor, max(count, 1))[1] is not None:
-            raise ValueError("bulk loads are RAM-only")
+        self.ram(cap.cursor, count, "bulk loads are RAM-only")
         self.advance(self.costs.copy_per_byte_ns * count)
         return bytes(self.data[cap.cursor:cap.cursor + count])
 
     def store_bytes(self, cap, payload):
         count = len(payload)
         check_access(cap, count, WRITE_MASK)
-        if self.region(cap.cursor, max(count, 1))[1] is not None:
-            raise ValueError("bulk stores are RAM-only")
+        self.ram(cap.cursor, count, "bulk stores are RAM-only")
         self.advance(self.costs.copy_per_byte_ns * count)
         self.data[cap.cursor:cap.cursor + count] = payload
         if count:
@@ -506,13 +555,13 @@ class ReferenceSpace:
                           bool(self.tags[g]) and shadow.tag, shadow.otype)
 
     def dma_read(self, addr, count):
-        if self.region(addr, max(count, 1))[1] is not None:
-            raise ValueError("DMA targets RAM")
+        if count < 0:
+            raise ValueError(f"DMA of {count} bytes")
+        self.ram(addr, count, "DMA targets RAM")
         return bytes(self.data[addr:addr + count])
 
     def dma_write(self, addr, payload):
-        if self.region(addr, max(len(payload), 1))[1] is not None:
-            raise ValueError("DMA targets RAM")
+        self.ram(addr, len(payload), "DMA targets RAM")
         self.data[addr:addr + len(payload)] = payload
         if payload:
             self.clear_tags(addr, len(payload))
@@ -594,14 +643,42 @@ EDGE_OPS = [
     ("dma_write", 0x17FFF, b"\x02\x03"), ("load", wide(0x1FFFC), 8, 0),
     ("store", wide(0x18000), 1, 1, -1), ("dma_read", 0x1FFF8, 16),
     ("load", CAP_POOL[1], 4, 0), ("load", wide(0xFFFF), 1, 0),
+    # Empty copies at each region's edges, with the device region cached.
+    ("load", CAP_POOL[1], 4, 0), ("load_bytes", wide(0x10000), 0),
+    ("load", CAP_POOL[1], 4, 0), ("store_bytes", wide(0x10000), b""),
+    ("dma_read", 0x10000, 0), ("dma_write", 0x11000, b""), ("dma_read", 0x20000, 0),
+    ("load_bytes", wide(0x11000), 0), ("store_bytes", wide(0x18000), b""),
+    ("load_bytes", wide(0x14000), 0), ("dma_read", 0x100, -1),
 ]
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.booleans(), st.lists(operations, min_size=20, max_size=50))
-@example(False, EDGE_OPS)
-@example(True, EDGE_OPS)
-def test_physspace_agrees_with_a_region_scanning_reference(tagged, ops):
+# Rounds of one RAM access, one BAR access and one DMA, as a ring engine
+# makes them: each round moves through both cached regions and past them.
+ram_caps = st.builds(lambda i, addr: with_cursor(CAP_POOL[i], addr),
+                     st.sampled_from((0, 2, 3)), addresses)
+mmio_caps = st.builds(lambda i, off: with_cursor(CAP_POOL[i], 0x10000 + off),
+                      st.sampled_from((1, 1, 3)),
+                      st.one_of(st.sampled_from((0, 4, 0xFF8, 0xFFC, 0xFFF, 0x1000)),
+                                st.integers(-8, 0x1008)))
+ram_ops = st.one_of(
+    st.tuples(st.just("store_bytes"), ram_caps, payloads),
+    st.tuples(st.just("load_bytes"), ram_caps, st.integers(0, 40)),
+    st.tuples(st.just("store"), ram_caps, widths, st.integers(0, 255), offsets),
+    st.tuples(st.just("load"), ram_caps, widths, offsets),
+)
+mmio_ops = st.one_of(
+    st.tuples(st.just("store"), mmio_caps, widths, st.integers(0, 255), st.just(0)),
+    st.tuples(st.just("load"), mmio_caps, widths, st.just(0)),
+)
+dma_ops = st.one_of(
+    st.tuples(st.just("dma_read"), addresses, st.integers(0, 40)),
+    st.tuples(st.just("dma_write"), addresses, payloads),
+)
+interleaved = st.lists(st.tuples(ram_ops, mmio_ops, dma_ops), min_size=7, max_size=17).map(
+    lambda rounds: [op for r in rounds for op in r])
+
+
+def agrees_with_reference(tagged, ops):
     space, _, dev = make_gapped_space()
     ref_dev = ScratchDevice()
     ref = ReferenceSpace([(0, 0x10000, None), (0x10000, 0x1000, ref_dev),
@@ -618,3 +695,17 @@ def test_physspace_agrees_with_a_region_scanning_reference(tagged, ops):
         assert space.data[:] == ref.data
         assert space.tags == ref.tags
         assert dev.writes == ref_dev.writes
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), st.lists(operations, min_size=20, max_size=50))
+@example(False, EDGE_OPS)
+@example(True, EDGE_OPS)
+def test_physspace_agrees_with_a_region_scanning_reference(tagged, ops):
+    agrees_with_reference(tagged, ops)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), interleaved)
+def test_physspace_agrees_with_the_reference_across_ram_bar_and_dma(tagged, ops):
+    agrees_with_reference(tagged, ops)
