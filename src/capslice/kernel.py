@@ -19,6 +19,7 @@ DMA region, adding only the crossing and copy charges.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -92,6 +93,18 @@ DMA_MANIFEST = Manifest("e1000e-dma", DMA_LENGTH, tuple(
         ("RXD_META", DMA_RX_RING + 8, 8, DESC_SIZE),
         ("TXBUF", DMA_TX_BUFS, BUF_SIZE, BUF_SIZE),
         ("RXBUF", DMA_RX_BUFS, BUF_SIZE, BUF_SIZE))))
+
+
+@functools.lru_cache(maxsize=16)
+def _carve_dma(dma_root: Capability) -> slicer.SliceTable:
+    """`DMA_MANIFEST`'s carving of `dma_root`, computed once per root value.
+
+    The carving is a pure function of two immutable values, the root and the
+    constant manifest, and every kernel allocates its DMA region first, so
+    equal roots recur on every build. A miss runs `slicer.slice` with every
+    check; a hit returns the immutable table an equal root produced. A
+    faulting root is not cached, so it faults on every call."""
+    return slicer.slice(dma_root, DMA_MANIFEST)
 
 
 class ErrCode(Enum):
@@ -390,7 +403,7 @@ class Kernel:
         if record.mapped:
             raise ApiError(ErrCode.DENIED, "already mapped once for this attach")
         regs_table = slicer.slice(self.dev.mmio_root, self.dev.bar_manifest)
-        dma_table = slicer.slice(self.dev.dma_root, DMA_MANIFEST)
+        dma_table = _carve_dma(self.dev.dma_root)
         record.mapped = True
         return slicer.SliceTable(
             slices=regs_table.slices + dma_table.slices,
@@ -439,7 +452,7 @@ class Kernel:
         # Built by the first socket call, so that bring-up does none of this work.
         dev = self.dev
         if dev.rings is None:
-            table = slicer.slice(dev.dma_root, DMA_MANIFEST)
+            table = _carve_dma(dev.dma_root)
             dev.rings = Rings.over(
                 self.space, table, table.index_map(),
                 with_cursor(dev.mmio_root, dev.bar_base + REG_TDT),

@@ -155,7 +155,7 @@ class NicModel:
         self.counters.mmio_writes += 1
         if width != 4 or offset % 4 != 0:
             return
-        value &= 0xFFFFFFFF
+        # `PhysSpace.store` refuses a value wider than the store, so it fits.
         if offset == REG_STATUS or offset == REG_ICR:
             return  # read-only at device level
         if offset == REG_IMS:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import struct
 from dataclasses import dataclass, fields
 from typing import Optional, Protocol
 
@@ -31,6 +32,12 @@ from .capability import (
 GRANULE = 16  # bytes covered by one capability tag
 
 DATA_WIDTHS = (1, 2, 4, 8)
+
+# Per data width, a precompiled little-endian word codec. `store` also
+# takes the first value too large for the word.
+_CODECS = {width: struct.Struct(f"<{code}") for width, code in zip(DATA_WIDTHS, "BHIQ")}
+_UNPACK = {width: codec.unpack_from for width, codec in _CODECS.items()}
+_PACK = {width: (codec.pack_into, 1 << 8 * width) for width, codec in _CODECS.items()}
 
 
 class MmioDevice(Protocol):
@@ -171,7 +178,8 @@ class PhysSpace:
 
     def load(self, cap: Capability, width: int, offset: int = 0) -> int:
         addr = cap.cursor + offset
-        if width not in DATA_WIDTHS:
+        unpack = _UNPACK.get(width)
+        if unpack is None:
             raise CapFault(FaultKind.ALIGNMENT_FAULT, addr, f"bad access width {width}")
         check_access(cap, width, READ_MASK, offset)
         # RAM if the cached RAM region holds the access, or if the cached
@@ -181,21 +189,29 @@ class PhysSpace:
                 or not (self._dev_lo <= addr and addr + width <= self._dev_hi)
                 and self.region_for(addr, width).device is None):
             self.clock += self.costs.ram_access_ns
-            return int.from_bytes(self.data[addr:addr + width], "little")
+            return unpack(self.data, addr)[0]
         self.clock += self.costs.mmio_access_ns
         return self._dev.mmio_read(self, addr - self._dev_lo, width)
 
     def store(self, cap: Capability, width: int, value: int, offset: int = 0) -> None:
+        """Store `value`, which must fit the word: 0 <= value < 2**(8*width).
+
+        A value outside that range is refused with ValueError after the
+        capability check and before any charge, RAM write or device call."""
         addr = cap.cursor + offset
-        if width not in DATA_WIDTHS:
+        word = _PACK.get(width)
+        if word is None:
             raise CapFault(FaultKind.ALIGNMENT_FAULT, addr, f"bad access width {width}")
         check_access(cap, width, WRITE_MASK, offset)
+        pack, end = word
+        if not 0 <= value < end:
+            raise ValueError(f"value {value:#x} does not fit {width} bytes")
         # Found as load finds it.
         if (self._ram_lo <= addr and addr + width <= self._ram_hi
                 or not (self._dev_lo <= addr and addr + width <= self._dev_hi)
                 and self.region_for(addr, width).device is None):
             self.clock += self.costs.ram_access_ns
-            self.data[addr:addr + width] = value.to_bytes(width, "little")
+            pack(self.data, addr, value)
             if self._cap_shadow:
                 self._clear_tags(addr, width)
         else:
@@ -284,6 +300,6 @@ class RootAuthority:
 
     def issue_root(self, base: int, length: int, perms: Perm) -> Capability:
         # Zero-length roots are legal (every dereference through them faults)
-        # but must still point into exactly one region.
-        self._space.region_for(base, max(length, 1))
+        # but must still lie in one region, as an empty copy must.
+        self._space.region_for(base, length)
         return Capability(base, length, base, perms, True)

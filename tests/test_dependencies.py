@@ -1,0 +1,59 @@
+"""The package runs on the standard library alone.
+
+`capslice` may import only `sys.stdlib_module_names` and itself, and
+`pyproject.toml` lists no runtime dependency; test-only packages belong in
+the `test` extra. Both checks read source text, so they hold on every
+Python version the project supports, with nothing extra installed.
+"""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "capslice"
+ALLOWED = set(sys.stdlib_module_names) | {"capslice"}
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Top-level modules that `source` imports from outside the standard
+    library and `capslice`, at any depth of the file."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue  # not an import, or a relative one
+        found += [name for name in names if name.partition(".")[0] not in ALLOWED]
+    return found
+
+
+def runtime_dependencies(pyproject: str) -> str:
+    """The text inside `[project]`'s `dependencies = [...]`, or "" if absent."""
+    section = re.search(r"^\[project\]\s*$(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    assert section, "pyproject.toml has no [project] table"
+    deps = re.search(r"^dependencies\s*=\s*\[(.*?)\]", section.group(1), re.M | re.S)
+    return re.sub(r"#.*", "", deps.group(1)).strip() if deps else ""
+
+
+def test_the_checks_see_a_foreign_import_and_a_dependency():
+    source = ("import os.path, numpy\nfrom . import slicer\nfrom .capability import Perm\n"
+              "from capslice.kernel import Kernel\ndef f():\n    from scipy import linalg\n")
+    assert foreign_imports(source) == ["numpy", "scipy"]
+    assert runtime_dependencies('[project]\nname = "x"\ndependencies = [\n  "numpy>=1",\n]\n'
+                                "[tool.x]\ndependencies = []\n") == '"numpy>=1",'
+    assert runtime_dependencies('[project]\ndependencies = []  # none\n') == ""
+
+
+def test_package_imports_only_the_standard_library():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert files
+    offenders = {f.name: bad for f in files if (bad := foreign_imports(f.read_text()))}
+    assert offenders == {}
+
+
+def test_pyproject_lists_no_runtime_dependency():
+    assert runtime_dependencies((ROOT / "pyproject.toml").read_text()) == ""

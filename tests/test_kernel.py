@@ -7,6 +7,7 @@ from conftest import capture
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from capslice import kernel as kernelmod
 from capslice import slicer
 from capslice.capability import (
     Capability,
@@ -16,6 +17,7 @@ from capslice.capability import (
     Perm,
     derive_bounds,
     make_otype_authority,
+    restrict_perms,
     seal,
     unseal,
     with_cursor,
@@ -27,6 +29,7 @@ from capslice.harness import (
     SPACE_SIZE,
     SUT_ENDPOINT,
     build_machine,
+    default_manifests,
     manifest_reach_oracle,
 )
 from capslice.kernel import (
@@ -34,6 +37,7 @@ from capslice.kernel import (
     BUF_SIZE,
     DESC_SIZE,
     DMA_LENGTH,
+    DMA_MANIFEST,
     DMA_RX_BUFS,
     DMA_TX_BUFS,
     ErrCode,
@@ -62,12 +66,14 @@ def rig(mode="bypass"):
     return m, m.kernel.dev
 
 
-def new_kernel(bar_manifest):
-    """A kernel on a fresh space, born with its device under `bar_manifest`."""
+def new_kernel(bar_manifest, priv_base=RAM_BASE):
+    """A kernel on a fresh space, born with its device under `bar_manifest`,
+    its private memory from `priv_base` to the top of RAM."""
     space, authority = PhysSpace.create(SPACE_SIZE)
     space.add_region(RAM_BASE, RAM_LENGTH, name="ram")
     space.add_region(BAR_BASE, BAR_LENGTH, device=NicModel(), name="bar")
-    return Kernel(space, authority, RAM_BASE, RAM_LENGTH, BAR_BASE, bar_manifest)
+    return Kernel(space, authority, priv_base, RAM_BASE + RAM_LENGTH - priv_base,
+                  BAR_BASE, bar_manifest)
 
 
 def mmio_read(m, dev, offset):
@@ -353,6 +359,86 @@ def test_dma_carving_reaches_no_descriptor_address_word():
             assert not any(reach[desc:desc + 8]), (hex(ring), k)
             # the audit is not blind: the driver owns each descriptor's tail
             assert set(reach[desc + 8:desc + DESC_SIZE]) == {rw}, (hex(ring), k)
+
+
+# -- the DMA carving, once per root ---------------------------------------------
+
+def count_slicer_calls(monkeypatch):
+    """Count `slicer.slice` calls from here on; the list holds each root."""
+    roots = []
+    real = slicer.slice
+
+    def counted(root, m):
+        roots.append(root)
+        return real(root, m)
+
+    monkeypatch.setattr(slicer, "slice", counted)
+    return roots
+
+
+dma_roots = st.builds(
+    lambda base, extra, cursor, perms: Capability(
+        base, DMA_LENGTH + extra, base + cursor, perms, True),
+    st.integers(RAM_BASE, RAM_BASE + RAM_LENGTH - DMA_LENGTH),
+    st.integers(0, 0x100),
+    st.integers(-8, DMA_LENGTH),
+    st.sampled_from((PERM_RW, PERM_RW | Perm.LOAD_CAP | Perm.STORE_CAP,
+                     PERM_RW | Perm.SEAL)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(roots=st.lists(dma_roots, min_size=1, max_size=4))
+def test_dma_carving_equals_a_fresh_slice(roots):
+    # Each root twice: a miss, then a hit, both equal to a fresh carving.
+    for root in roots + roots:
+        assert kernelmod._carve_dma(root) == slicer.slice(root, DMA_MANIFEST)
+    assert kernelmod._carve_dma(roots[-1]) is kernelmod._carve_dma(roots[-1])
+
+
+_GOOD_DMA_ROOT = Capability(RAM_BASE, DMA_LENGTH, RAM_BASE, PERM_RW, True)
+
+
+@pytest.mark.parametrize("root,kind", [
+    (replace(_GOOD_DMA_ROOT, tag=False), FaultKind.TAG_INVALID),
+    (seal(_GOOD_DMA_ROOT, make_otype_authority(9)), FaultKind.SEAL_VIOLATION),
+    (restrict_perms(_GOOD_DMA_ROOT, Perm.READ), FaultKind.PERMISSION_DENIED),
+    (replace(_GOOD_DMA_ROOT, length=DMA_LENGTH - 1), FaultKind.BOUNDS_VIOLATION),
+], ids=["untagged", "sealed", "read-only", "too-short"])
+def test_a_bad_dma_root_faults_on_every_carving(monkeypatch, root, kind):
+    roots = count_slicer_calls(monkeypatch)
+    faults = []
+    for _ in range(2):
+        with pytest.raises(CapFault) as err:
+            kernelmod._carve_dma(root)
+        faults.append((err.value.kind, err.value.address, str(err.value)))
+    assert faults[0] == faults[1] and faults[0][0] is kind
+    assert roots == [root, root]  # the fault was not remembered
+
+
+def test_a_kernel_elsewhere_in_ram_carves_its_own_dma_region():
+    k = new_kernel(default_manifests(), priv_base=RAM_BASE + 0x40000)
+    dma = k.dev.dma
+    assert dma.base == RAM_BASE + 0x40000 != rig()[1].dma.base
+    table = k.map_mmio(k.attach(5))
+    dma_slices = [cap for name, cap in table if name.startswith(("TX", "RX"))]
+    rings = k._rings()
+    assert len(dma_slices) == 4 * RING_SIZE
+    for cap in dma_slices + rings.tx_meta + rings.tx_bufs + rings.rx_meta + rings.rx_bufs:
+        assert cap.tag and dma.base <= cap.base and cap.top <= dma.bufs_end
+    assert slicer.unmap(table.sealed_dma_root) == k.dev.dma_root
+
+
+@pytest.mark.parametrize("mode,carvings", [("bypass", 1), ("mediated", 0)])
+def test_bring_up_after_a_warm_up_slices_only_the_bar(monkeypatch, mode, carvings):
+    # The DMA carving is the same for every machine, so after one build it
+    # is never sliced again; the BAR manifest is sliced on every bypass
+    # build, and the mediated path's first socket call carves nothing.
+    rig(mode)[0].kernel.socket_recv()
+    roots = count_slicer_calls(monkeypatch)
+    m = build_machine("kern", mode, SUT_ENDPOINT)
+    m.kernel.socket_recv()
+    assert len(roots) == carvings
+    assert all(root == m.kernel.dev.mmio_root for root in roots)
 
 
 # -- the privileged ioctl -----------------------------------------------------

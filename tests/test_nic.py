@@ -14,6 +14,7 @@ from capslice.nic import (
     FrameLink,
     MAX_LINK_FRAME,
     NicModel,
+    REG_CTRL,
     REG_ICR,
     REG_IMS,
     REG_RDH,
@@ -240,6 +241,17 @@ def test_mmio_access_counters():
     mmio(m, dev, REG_TDT, 0)
     assert m.nic.counters.mmio_reads == reads + 1
     assert m.nic.counters.mmio_writes == writes + 1
+
+
+def test_register_store_wider_than_32_bits_never_reaches_the_device():
+    m, dev, _ = rig()
+    mmio(m, dev, REG_CTRL, 0xFFFFFFFF)
+    writes, clock = m.nic.counters.mmio_writes, m.space.clock
+    for value in ((1 << 32) + 5, -1):
+        with pytest.raises(ValueError):
+            mmio(m, dev, REG_CTRL, value)
+    assert (m.nic.counters.mmio_writes, m.space.clock) == (writes, clock)
+    assert mmio(m, dev, REG_CTRL) == 0xFFFFFFFF
 
 
 def test_frame_conservation_over_random_traffic():

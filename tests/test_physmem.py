@@ -71,6 +71,30 @@ def test_issue_root_straddling_regions_rejected():
         authority.issue_root(0xFF00, 0x200, PERM_RW)
 
 
+def test_zero_length_root_at_the_top_of_the_last_region_is_issued():
+    # An empty range at a region's top lies in that region, as an empty copy
+    # there does; every dereference of a byte through the root still faults.
+    space, authority, _ = make_gapped_space()
+    cap = authority.issue_root(0x20000, 0, CAP_PERMS)
+    assert cap.tag and cap.length == 0 and cap.base == space.size
+    derefs = [lambda w=w, o=o: space.load(cap, w, o) for w in DATA_WIDTHS for o in (0, -1)]
+    derefs += [lambda w=w, o=o: space.store(cap, w, 1, o) for w in DATA_WIDTHS for o in (0, -1)]
+    derefs += [lambda: space.load_bytes(cap, 1), lambda: space.store_bytes(cap, b"x"),
+               lambda: space.cap_load(cap), lambda: space.cap_store(cap, cap)]
+    for deref in derefs:
+        with pytest.raises(CapFault) as err:
+            deref()
+        assert err.value.kind is FaultKind.BOUNDS_VIOLATION
+    assert space.clock == 0
+
+
+@pytest.mark.parametrize("base", [0x11001, 0x14000, 0x20001])
+def test_zero_length_root_past_every_region_is_refused(base):
+    space, authority, _ = make_gapped_space()
+    with pytest.raises(ValueError, match="maps to no single region"):
+        authority.issue_root(base, 0, PERM_RW)
+
+
 def test_ram_store_load_roundtrip():
     space, authority, _ = make_space()
     cap = authority.issue_root(0, 0x10000, PERM_RW)
@@ -121,6 +145,59 @@ def test_bad_width_is_alignment_fault():
     with pytest.raises(CapFault) as err:
         space.load(cap, 3)
     assert err.value.kind is FaultKind.ALIGNMENT_FAULT
+
+
+# The last legal word of RAM as well as its first, so that a codec that
+# reads or writes past its width would run off the region.
+@pytest.mark.parametrize("addr_of", [lambda w: 0, lambda w: 0x10000 - w],
+                         ids=["first", "last"])
+@pytest.mark.parametrize("width", DATA_WIDTHS)
+def test_word_codecs_store_and_load_every_width(width, addr_of):
+    space, authority, _ = make_space()
+    addr = addr_of(width)
+    cap = with_cursor(authority.issue_root(0, 0x10000, PERM_RW), addr)
+    lo, hi = max(addr - 1, 0), min(addr + width + 1, 0x10000)
+    space.dma_write(lo, b"\xee" * (hi - lo))
+    for value in (0, (1 << 8 * width) - 1, 0x0123456789ABCDEF % (1 << 8 * width)):
+        before = space.data[:]
+        space.store(cap, width, value)
+        expected = before[:addr] + value.to_bytes(width, "little") + before[addr + width:]
+        assert space.data[:] == expected
+        assert space.load(cap, width) == value
+
+
+def word_store_rig(where):
+    """A space, a capability on RAM or the device's register 0, and a tagged
+    RAM granule under the RAM capability."""
+    space, authority, dev = make_space()
+    root = authority.issue_root(0, 0x10000, CAP_PERMS)
+    space.cap_store(with_cursor(root, 0x100), root)
+    if where == "ram":
+        return space, dev, with_cursor(root, 0x100)
+    return space, dev, authority.issue_root(0x10000, 0x1000, PERM_RW)
+
+
+@pytest.mark.parametrize("where", ["ram", "mmio"])
+@pytest.mark.parametrize("width,value", [
+    (1, 256), (1, -1), (2, 1 << 16), (4, (1 << 32) + 5), (4, -(1 << 31)),
+    (8, 1 << 64), (8, -1)])
+def test_out_of_range_store_is_refused_before_any_effect(where, width, value):
+    space, dev, cap = word_store_rig(where)
+    clock, data, tags = space.clock, space.data[:], bytes(space.tags)
+    with pytest.raises(ValueError, match=f"does not fit {width} bytes"):
+        space.store(cap, width, value)
+    assert (space.clock, space.data[:], bytes(space.tags)) == (clock, data, tags)
+    assert dev.writes == []
+
+
+@pytest.mark.parametrize("where", ["ram", "mmio"])
+def test_store_fault_comes_before_the_value_check(where):
+    space, dev, cap = word_store_rig(where)
+    clock = space.clock
+    with pytest.raises(CapFault) as err:
+        space.store(restrict_perms(cap, Perm.READ), 4, 1 << 32)
+    assert err.value.kind is FaultKind.PERMISSION_DENIED
+    assert space.clock == clock and dev.writes == []
 
 
 def test_access_costs_charged():
