@@ -14,6 +14,7 @@ import math
 import mmap
 import struct
 from dataclasses import dataclass, fields
+from operator import index as _integer
 from typing import Optional, Protocol
 
 from .capability import (
@@ -194,10 +195,13 @@ class PhysSpace:
         return self._dev.mmio_read(self, addr - self._dev_lo, width)
 
     def store(self, cap: Capability, width: int, value: int, offset: int = 0) -> None:
-        """Store `value`, which must fit the word: 0 <= value < 2**(8*width).
+        """Store `value`, which must be an integer that fits the word:
+        0 <= value < 2**(8*width).
 
-        A value outside that range is refused with ValueError after the
-        capability check and before any charge, RAM write or device call."""
+        After the capability check and before any charge, RAM write or
+        device call, a value that is not an integer (what ``operator.index``
+        and the word codecs refuse) is refused with TypeError, and one
+        outside that range with ValueError."""
         addr = cap.cursor + offset
         word = _PACK.get(width)
         if word is None:
@@ -205,16 +209,24 @@ class PhysSpace:
         check_access(cap, width, WRITE_MASK, offset)
         pack, end = word
         if not 0 <= value < end:
+            _integer(value)  # a non-integer (-1.0, nan) is a TypeError first
             raise ValueError(f"value {value:#x} does not fit {width} bytes")
         # Found as load finds it.
         if (self._ram_lo <= addr and addr + width <= self._ram_hi
                 or not (self._dev_lo <= addr and addr + width <= self._dev_hi)
                 and self.region_for(addr, width).device is None):
+            # The codec refuses a non-integer before it writes a byte; the
+            # refusal is re-raised as the TypeError the MMIO branch raises.
+            try:
+                pack(self.data, addr, value)
+            except struct.error:
+                _integer(value)
+                raise
             self.clock += self.costs.ram_access_ns
-            pack(self.data, addr, value)
             if self._cap_shadow:
                 self._clear_tags(addr, width)
         else:
+            value = _integer(value)
             self.clock += self.costs.mmio_access_ns
             self._dev.mmio_write(self, addr - self._dev_lo, width, value)
 

@@ -335,6 +335,24 @@ def test_load_store_offset_match_with_cursor(cap, offset, width, value, fill):
         assert spaces[0].data[:] == spaces[1].data[:] and spaces[0].clock == spaces[1].clock
 
 
+# -- the interval lemma behind the fast audit ---------------------------------------
+
+@settings(deadline=None)
+@given(cap=st.builds(Capability, base=st.integers(0, 0x80), length=st.integers(-4, 0x60),
+                     cursor=st.integers(0, (1 << 64) - 1), perms=st.integers(0, 0x3F),
+                     tag=st.booleans(),
+                     otype=st.one_of(st.just(UNSEALED), st.integers(0, UNSEALED))),
+       lo=st.integers(-0x20, 0xE0), span=st.integers(0, 0x80), need=needs)
+def test_width_one_access_passes_on_one_interval_of_cursors(cap, lo, span, need):
+    # audit_reachability's fast path confirms a slice's run by its two end
+    # bytes; that is sound only if the passing cursors form exactly this run.
+    hi = lo + span
+    passing = [x for x in range(lo, hi)
+               if _outcome(check_access, with_cursor(cap, x), 1, need)[0] == "ok"]
+    live = cap.tag and not cap.sealed and cap.has(need)
+    assert passing == (list(range(max(cap.base, lo), min(cap.top, hi))) if live else [])
+
+
 # -- int permission masks ------------------------------------------------------------
 
 def test_perm_and_int_masks_build_equal_capabilities():

@@ -361,6 +361,19 @@ def test_dma_carving_reaches_no_descriptor_address_word():
             assert set(reach[desc + 8:desc + DESC_SIZE]) == {rw}, (hex(ring), k)
 
 
+def test_whole_dma_region_audit_equals_the_carving_and_spares_every_address_word():
+    # The full region, packet buffers included: the rings' audit above
+    # stops short of the buffers.
+    m, dev = rig()
+    view = SliceTable(slices=m.table.slices, sealed_root=m.table.sealed_dma_root)
+    reach = audit_reachability(view, DMA_LENGTH)
+    assert reach == manifest_reach_oracle(DMA_MANIFEST)
+    for ring in (dev.dma.tx_ring, dev.dma.rx_ring):
+        for k in range(RING_SIZE):
+            desc = ring - dev.dma.base + k * DESC_SIZE
+            assert not any(reach[desc:desc + 8]), (hex(ring), k)
+
+
 # -- the DMA carving, once per root ---------------------------------------------
 
 def count_slicer_calls(monkeypatch):

@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import FrozenInstanceError, fields, replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -188,6 +189,30 @@ def test_out_of_range_store_is_refused_before_any_effect(where, width, value):
         space.store(cap, width, value)
     assert (space.clock, space.data[:], bytes(space.tags)) == (clock, data, tags)
     assert dev.writes == []
+
+
+# In range and out of range, so that neither the range check nor the word
+# codec decides the exception type.
+@pytest.mark.parametrize("where", ["ram", "mmio"])
+@pytest.mark.parametrize("value", [3.0, 3.5, -1.0, 1e30, float("nan"), Fraction(3),
+                                   "3", None], ids=repr)
+def test_non_integer_store_is_refused_before_any_effect(where, value):
+    space, dev, cap = word_store_rig(where)
+    clock, data, tags = space.clock, space.data[:], bytes(space.tags)
+    with pytest.raises(TypeError):
+        space.store(cap, 4, value)
+    assert (space.clock, space.data[:], bytes(space.tags)) == (clock, data, tags)
+    assert dev.writes == []
+
+
+@pytest.mark.parametrize("where", ["ram", "mmio"])
+def test_integer_subclass_stores_as_its_value(where):
+    space, dev, cap = word_store_rig(where)
+    space.store(cap, 4, True)
+    if where == "ram":
+        assert space.load(cap, 4) == 1
+    else:
+        assert dev.writes == [(0, 4, 1)] and type(dev.writes[0][2]) is int
 
 
 @pytest.mark.parametrize("where", ["ram", "mmio"])

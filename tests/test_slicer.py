@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,15 @@ from capslice.capability import (
     seal,
     with_cursor,
 )
-from capslice.harness import manifest_reach_oracle, slice_standalone
+from capslice.harness import (
+    MODE_BYPASS,
+    SUT_ENDPOINT,
+    FrameLink,
+    build_machine,
+    data_manifest,
+    manifest_reach_oracle,
+    slice_standalone,
+)
 from capslice.kernel import DMA_MANIFEST
 from capslice.manifest import parse, validate
 from capslice.physmem import PhysSpace
@@ -256,6 +265,31 @@ def test_exhaustive_audit_builds_no_capability_per_probe(monkeypatch):
 
     monkeypatch.setattr(slicer, "with_cursor", no_with_cursor)
     assert audit_reachability(table, m.bar_length, exhaustive=True) == manifest_reach_oracle(m)
+
+
+# A 0x400-byte window at each register group of the shipped manifest, and
+# the whole BAR.
+@pytest.mark.parametrize("lo,length", [(0x0, 0x400), (0x2800, 0x400), (0x3800, 0x400),
+                                       (0x0, 0x20000)])
+def test_fast_audit_checks_only_the_ends_of_slices_in_the_aperture(monkeypatch, lo, length):
+    # O(slices), not O(bytes): at most two ends per need per slice that
+    # overlaps the audited span, however long the span is.
+    table = build_machine("sut", MODE_BYPASS, SUT_ENDPOINT, link=FrameLink()).table
+    root = table.sealed_root
+    view = SliceTable(slices=table.slices, sealed_root=replace(root, base=root.base + lo))
+    start = root.base + lo
+    overlapping = sum(1 for _, cap in table if cap.base < start + length and start < cap.top)
+    calls = []
+    real = slicer.check_access
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(slicer, "check_access", counted)
+    bits = audit_reachability(view, length)
+    assert bits == manifest_reach_oracle(data_manifest("e1000e.manifest"))[lo:lo + length]
+    assert 0 < len(calls) <= 2 * 2 * overlapping
 
 
 # Hostile slice values: the audited span starts at APERTURE, and slices may
