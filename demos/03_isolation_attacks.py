@@ -11,13 +11,13 @@ Run:  python3 demos/03_isolation_attacks.py
 from capslice import ApiError, CapFault, Capability, Perm
 from capslice.capability import with_cursor
 from capslice.harness import SUT_ENDPOINT, build_machine
-from capslice.kernel import DESC_SIZE
+from capslice.kernel import DESC_SIZE, DMA_TX_RING
 from capslice.nic import FrameLink
 from capslice import slicer
 
 m = build_machine("victim", "bypass", SUT_ENDPOINT, link=FrameLink())
-dev = m.kernel.dev
-print(f"machine up: {len(m.table)} slices mapped, device at {dev.bar_base:#x}\n")
+print(f"machine up: {len(m.table)} slices mapped,"
+      f" device at {m.kernel.mmio_root.base:#x}\n")
 
 
 def attempt(label, thunk):
@@ -40,7 +40,7 @@ status = m.table.by_name("STATUS")
 attempt("*status = 0", lambda: m.space.store(status, 4, 0))
 
 print("\nattack 3: repoint a transmit descriptor somewhere tasty")
-target = dev.dma.tx_ring + 5 * DESC_SIZE  # descriptor 5's address word
+target = m.kernel.dma_root.base + DMA_TX_RING + 5 * DESC_SIZE  # descriptor 5's address word
 meta5 = m.table.by_name("TXD_META[5]")
 attempt("descriptor addr via meta slice",
         lambda: m.space.store(with_cursor(meta5, target), 8, 0x40))

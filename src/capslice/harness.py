@@ -20,8 +20,8 @@ from typing import Callable, Optional
 from . import slicer
 from .capability import CapFault, Capability, FaultKind, Perm, with_cursor
 from .driver import Driver
-from .kernel import (ApiError, DESC_SIZE, DMA_LENGTH, DMA_MANIFEST, DMA_RX_RING, Kernel,
-                     RING_SIZE)
+from .kernel import (ApiError, DESC_SIZE, DMA_LENGTH, DMA_MANIFEST, DMA_RX_RING, DMA_TX_BUFS,
+                     DMA_TX_RING, Kernel, RING_SIZE)
 from .manifest import Manifest, PermClass, expand, parse
 from .netstack import (UDP_DPORT_AT, DecodeError, UdpEndpoint, carried_udp_checksum, decode_udp,
                        echo_reply, encode_udp)
@@ -515,12 +515,12 @@ def run_isolation_suite(bar_manifest: Optional[Manifest] = None) -> IsolationRep
     record("ims-not-sliced", "IMS" not in m.table.names(), "kernel-only register withheld")
 
     # (c) No driver-held capability reaches a descriptor address field.
-    dev = m.kernel.dev
-    target = dev.dma.tx_ring  # descriptor 0's address word
+    dma_base = m.kernel.dma_root.base
+    target = dma_base + DMA_TX_RING  # descriptor 0's address word
     holes = []
     for name, cap in m.table:
         try:
-            m.space.store(with_cursor(cap, target), 8, dev.dma.bufs_base)
+            m.space.store(with_cursor(cap, target), 8, dma_base + DMA_TX_BUFS)
             holes.append(name)
         except CapFault:
             pass
@@ -529,7 +529,7 @@ def run_isolation_suite(bar_manifest: Optional[Manifest] = None) -> IsolationRep
 
     # (d) Forged and wrong-type tokens are denied without device writes.
     before_writes = m.nic.counters.mmio_writes
-    ring_bytes = bytes(m.space.data[dev.dma.base:dev.dma.base + DMA_LENGTH])
+    ring_bytes = bytes(m.space.data[dma_base:dma_base + DMA_LENGTH])
     forged = Capability(base=RAM_BASE, length=16, cursor=RAM_BASE,
                         perms=Perm.READ, tag=False, otype=slicer.INTERFACE_OTYPE)
     try:
@@ -537,7 +537,7 @@ def run_isolation_suite(bar_manifest: Optional[Manifest] = None) -> IsolationRep
         record("forged-token", False, "mapping unexpectedly granted")
     except ApiError as err:
         unchanged = (m.nic.counters.mmio_writes == before_writes
-                     and bytes(m.space.data[dev.dma.base:dev.dma.base + DMA_LENGTH]) == ring_bytes)
+                     and bytes(m.space.data[dma_base:dma_base + DMA_LENGTH]) == ring_bytes)
         record("forged-token", unchanged, f"{err.code.value}; device and DMA untouched")
 
     # (e) The fast-path audit of every (byte, perm) pair equals the

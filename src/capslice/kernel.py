@@ -4,11 +4,13 @@ A kernel is built with its one e1000e, and no call takes a device name:
 the BAR manifest's `device` line names the device, and bring-up refuses
 any name but `nic.DEVICE_NAME`.
 
-The kernel owns the root capabilities. Userspace gets exactly three
-things from it: a sealed attach token, a slice table carved per the BAR
-manifest and the kernel's own DMA carving, and one privileged ioctl for
-rewriting descriptor buffer addresses. Everything else is denied, and
-denials provably touch neither the device nor DMA memory.
+The kernel owns the root capabilities, and its device is two of them: an
+MMIO root over the BAR and a DMA root over the region bring-up allocates.
+Every device address is a root's base plus a fixed offset. Userspace gets
+exactly three things from it: a sealed attach token, a slice table carved
+per the BAR manifest and the kernel's own DMA carving, and one privileged
+ioctl for rewriting descriptor buffer addresses. Everything else is
+denied, and denials provably touch neither the device nor DMA memory.
 
 The descriptor-ring engine `Rings` is the one data plane under two
 control paths: the bypass driver runs it over its slices, and the
@@ -41,8 +43,11 @@ from .manifest import Manifest, PermClass, Repeat, SliceEntry, expand, validate
 from .nic import (
     BAR_LENGTH,
     BUF_SIZE,
+    DESC_CMD,
     DESC_DD,
+    DESC_LENGTH,
     DESC_SIZE,
+    DESC_STATUS,
     DEVICE_NAME,
     MAX_LINK_FRAME,
     PRIVILEGED,
@@ -80,17 +85,17 @@ DMA_LENGTH = DMA_RX_BUFS + RING_SIZE * BUF_SIZE  # 0x42000
 _DEVICE_ID = 1  # the attach record's second word: the kernel's one device
 
 # Offsets of a descriptor's cmd and status bytes from its length field.
-_CMD = 3
-_STATUS = 4
+_CMD = DESC_CMD - DESC_LENGTH
+_STATUS = DESC_STATUS - DESC_LENGTH
 
 # The descriptor format fixes the DMA carving, so the kernel owns it rather
-# than a policy file: each descriptor's bytes 8..15 (never its address word)
-# and one slice per buffer.
+# than a policy file: each descriptor's bytes from its length field on (never
+# its address word) and one slice per buffer.
 DMA_MANIFEST = Manifest("e1000e-dma", DMA_LENGTH, tuple(
     SliceEntry(name, offset, size, PermClass.RW, Repeat(RING_SIZE, stride))
     for name, offset, size, stride in (
-        ("TXD_META", DMA_TX_RING + 8, 8, DESC_SIZE),
-        ("RXD_META", DMA_RX_RING + 8, 8, DESC_SIZE),
+        ("TXD_META", DMA_TX_RING + DESC_LENGTH, DESC_SIZE - DESC_LENGTH, DESC_SIZE),
+        ("RXD_META", DMA_RX_RING + DESC_LENGTH, DESC_SIZE - DESC_LENGTH, DESC_SIZE),
         ("TXBUF", DMA_TX_BUFS, BUF_SIZE, BUF_SIZE),
         ("RXBUF", DMA_RX_BUFS, BUF_SIZE, BUF_SIZE))))
 
@@ -131,27 +136,6 @@ def _refuse_unsendable(frame: bytes) -> None:
     """The device sends 1 to `MAX_LINK_FRAME` bytes; refuse any other frame."""
     if not 0 < len(frame) <= MAX_LINK_FRAME:
         raise ApiError(ErrCode.BAD_ARGUMENT, f"frame of {len(frame)} bytes")
-
-
-@dataclass
-class DmaLayout:
-    base: int
-
-    @property
-    def tx_ring(self) -> int:
-        return self.base + DMA_TX_RING
-
-    @property
-    def rx_ring(self) -> int:
-        return self.base + DMA_RX_RING
-
-    @property
-    def bufs_base(self) -> int:
-        return self.base + DMA_TX_BUFS
-
-    @property
-    def bufs_end(self) -> int:
-        return self.base + DMA_LENGTH
 
 
 @dataclass(eq=False, repr=False)
@@ -262,18 +246,18 @@ class AttachRecord:
     mapped: bool = False
 
 
-@dataclass
-class DeviceState:
-    bar_base: int
+class Kernel:
+    """Interface + stub for one machine and its one device. Holds the root
+    authority.
+
+    The device is its two roots: `mmio_root` over the whole BAR and
+    `dma_root` over its DMA region, both issued by bring-up together with
+    the `bar_manifest` it accepted. Every register, ring and buffer address
+    is derived from a root's base and the `REG_*`/`DMA_*` offsets."""
+
     bar_manifest: Manifest
     mmio_root: Capability
     dma_root: Capability
-    dma: DmaLayout
-    rings: Optional[Rings] = None  # the socket path's; built by its first call
-
-
-class Kernel:
-    """Interface + stub for one machine and its one device. Holds the root authority."""
 
     def __init__(self, space: PhysSpace, authority: RootAuthority,
                  priv_base: int, priv_length: int, bar_base: int, bar_manifest: Manifest):
@@ -286,6 +270,7 @@ class Kernel:
         self._alloc_end = priv_base + priv_length
         self._records: dict[int, AttachRecord] = {}
         self.invocations = 0
+        self._socket_rings: Optional[Rings] = None  # built by the first socket call
         self.stub_attach(bar_base, bar_manifest)
 
     # -- kernel-private allocator ---------------------------------------------
@@ -310,7 +295,7 @@ class Kernel:
         A BAR manifest that fails `validate()`, names another device or would
         hand userspace a kernel-only register byte is refused before anything
         is issued. The DMA region is carved by `DMA_MANIFEST`."""
-        if hasattr(self, "dev"):
+        if hasattr(self, "mmio_root"):
             raise ApiError(ErrCode.BUSY, f"{DEVICE_NAME} already attached")
         problems = validate(bar_manifest) or device_truth_violations(bar_manifest)
         if problems:
@@ -321,7 +306,7 @@ class Kernel:
         mmio_root = self._authority.issue_root(bar_base, BAR_LENGTH, PERM_RW)
         dma_base = self._alloc(DMA_LENGTH)
         dma_root = self._authority.issue_root(dma_base, DMA_LENGTH, PERM_RW)
-        dma = DmaLayout(dma_base)
+        tx_ring, rx_ring = dma_base + DMA_TX_RING, dma_base + DMA_RX_RING
 
         # Each root's cursor sits at its base, so register and descriptor
         # offsets are immediate offsets from it.
@@ -331,13 +316,13 @@ class Kernel:
             store(mmio_root, 4, val, off)
 
         ring_bytes = RING_SIZE * DESC_SIZE
-        reg(REG_TDBAL, dma.tx_ring & 0xFFFFFFFF)
-        reg(REG_TDBAH, dma.tx_ring >> 32)
+        reg(REG_TDBAL, tx_ring & 0xFFFFFFFF)
+        reg(REG_TDBAH, tx_ring >> 32)
         reg(REG_TDLEN, ring_bytes)
         reg(REG_TDH, 0)
         reg(REG_TDT, 0)
-        reg(REG_RDBAL, dma.rx_ring & 0xFFFFFFFF)
-        reg(REG_RDBAH, dma.rx_ring >> 32)
+        reg(REG_RDBAL, rx_ring & 0xFFFFFFFF)
+        reg(REG_RDBAH, rx_ring >> 32)
         reg(REG_RDLEN, ring_bytes)
         reg(REG_RDH, 0)
 
@@ -350,18 +335,16 @@ class Kernel:
             tx, rx = DMA_TX_RING + k * DESC_SIZE, DMA_RX_RING + k * DESC_SIZE
             buf = k * BUF_SIZE
             store(dma_root, 8, tx_buf + buf, tx)
-            store(dma_root, 8, 0, tx + 8)
+            store(dma_root, 8, 0, tx + DESC_LENGTH)
             store(dma_root, 8, rx_buf + buf, rx)
-            store(dma_root, 8, 0, rx + 8)
+            store(dma_root, 8, 0, rx + DESC_LENGTH)
 
         reg(REG_TCTL, TCTL_EN)
         reg(REG_RCTL, RCTL_EN)
         # Hand the device all but one RX descriptor (head == tail means empty).
         reg(REG_RDT, RING_SIZE - 1)
 
-        self.dev = DeviceState(
-            bar_base=bar_base, bar_manifest=bar_manifest,
-            mmio_root=mmio_root, dma_root=dma_root, dma=dma)
+        self.bar_manifest, self.mmio_root, self.dma_root = bar_manifest, mmio_root, dma_root
 
     # -- interface: token-gated entry points ---------------------------------
 
@@ -402,8 +385,8 @@ class Kernel:
         record = self._verify_token(token)
         if record.mapped:
             raise ApiError(ErrCode.DENIED, "already mapped once for this attach")
-        regs_table = slicer.slice(self.dev.mmio_root, self.dev.bar_manifest)
-        dma_table = _carve_dma(self.dev.dma_root)
+        regs_table = slicer.slice(self.mmio_root, self.bar_manifest)
+        dma_table = _carve_dma(self.dma_root)
         record.mapped = True
         return slicer.SliceTable(
             slices=regs_table.slices + dma_table.slices,
@@ -414,14 +397,14 @@ class Kernel:
                             buf: Capability) -> None:
         """Privileged write of a descriptor's address field.
 
-        The buffer capability must be tagged, unsealed, readable, cover at
-        least the `BUF_SIZE` bytes the NIC may DMA from its base, and lie
-        entirely inside the caller's DMA buffer region; anything else is
+        The buffer capability must be tagged, unsealed, readable, writable
+        too for an RX descriptor (the NIC writes received frames into it),
+        cover at least the `BUF_SIZE` bytes the NIC may DMA from its base, and
+        lie entirely inside the caller's DMA buffer region; anything else is
         denied with the descriptor untouched.
         """
         self.invocations += 1
         self._verify_token(token)
-        dev = self.dev
         if queue not in ("tx", "rx"):
             raise ApiError(ErrCode.BAD_ARGUMENT, f"queue {queue!r}")
         if not 0 <= index < RING_SIZE:
@@ -432,13 +415,16 @@ class Kernel:
             raise ApiError(ErrCode.DENIED, "buffer capability is sealed")
         if not buf.has(Perm.READ):
             raise ApiError(ErrCode.DENIED, "buffer capability lacks READ")
+        if queue == "rx" and not buf.has(Perm.WRITE):
+            raise ApiError(ErrCode.DENIED, "buffer capability lacks WRITE")
         if buf.length < BUF_SIZE:
             raise ApiError(ErrCode.DENIED, f"buffer capability covers {buf.length} bytes,"
                                            f" the NIC may DMA {BUF_SIZE}")
-        if not (dev.dma.bufs_base <= buf.base and buf.top <= dev.dma.bufs_end):
+        dma_root = self.dma_root
+        if not (dma_root.base + DMA_TX_BUFS <= buf.base and buf.top <= dma_root.top):
             raise ApiError(ErrCode.DENIED, "buffer outside the DMA buffer region")
-        ring = dev.dma.tx_ring if queue == "tx" else dev.dma.rx_ring
-        self.space.store(with_cursor(dev.dma_root, ring + index * DESC_SIZE), 8, buf.base)
+        ring = DMA_TX_RING if queue == "tx" else DMA_RX_RING
+        self.space.store(dma_root, 8, buf.base, ring + index * DESC_SIZE)
 
     # -- mediated (socket-style) path; the baseline, not token-gated ---------
 
@@ -450,14 +436,14 @@ class Kernel:
 
     def _rings(self) -> Rings:
         # Built by the first socket call, so that bring-up does none of this work.
-        dev = self.dev
-        if dev.rings is None:
-            table = _carve_dma(dev.dma_root)
-            dev.rings = Rings.over(
+        if self._socket_rings is None:
+            table = _carve_dma(self.dma_root)
+            mmio_root = self.mmio_root
+            self._socket_rings = Rings.over(
                 self.space, table, table.index_map(),
-                with_cursor(dev.mmio_root, dev.bar_base + REG_TDT),
-                with_cursor(dev.mmio_root, dev.bar_base + REG_RDT))
-        return dev.rings
+                with_cursor(mmio_root, mmio_root.base + REG_TDT),
+                with_cursor(mmio_root, mmio_root.base + REG_RDT))
+        return self._socket_rings
 
     def socket_send(self, frame: bytes) -> None:
         """Kernel-mediated transmit: two ring crossings plus one extra

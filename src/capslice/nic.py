@@ -49,10 +49,13 @@ BUF_SIZE = 2048       # bytes per descriptor buffer
 DESC_DD = 0x01        # descriptor done, set by device only
 DESC_ERR = 0x02       # model's error mark for unusable TX descriptors
 
-# A legacy descriptor as the device reads it: the buffer address, the
+# A legacy descriptor as the device reads it: the buffer address at 0, the
 # length, bytes 10..11 (TX: CSO and CMD; RX: checksum) and the status byte.
 # The device writes back only the status on TX, and length, bytes 10..11 and
 # status on RX.
+DESC_LENGTH = 8
+DESC_CMD = 11
+DESC_STATUS = 12
 _TX_DESC = struct.Struct("<QH2xB")       # address, length, status
 _RX_DESC = struct.Struct("<Q2x2sB")      # address, bytes 10..11, status
 _RX_WRITEBACK = struct.Struct("<H2sB")   # length, bytes 10..11, status
@@ -193,7 +196,7 @@ class NicModel:
                     self.link.transmit(self.link_endpoint, frame, space.clock)
                 self.counters.tx_frames += 1
                 status |= DESC_DD
-            space.dma_write(desc + 12, bytes((status,)))
+            space.dma_write(desc + DESC_STATUS, bytes((status,)))
             head = (head + 1) % count
         regs[REG_TDH] = head
 
@@ -218,7 +221,8 @@ class NicModel:
         desc = base + head * DESC_SIZE
         addr, keep, status = _RX_DESC.unpack_from(space.dma_read(desc, DESC_SIZE))
         space.dma_write(addr, frame)
-        space.dma_write(desc + 8, _RX_WRITEBACK.pack(len(frame), keep, status | DESC_DD))
+        writeback = _RX_WRITEBACK.pack(len(frame), keep, status | DESC_DD)
+        space.dma_write(desc + DESC_LENGTH, writeback)
         regs[REG_RDH] = (head + 1) % count
         self.counters.rx_frames += 1
         return True

@@ -71,10 +71,6 @@ class Region:
     def top(self) -> int:
         return self.base + self.length
 
-    @property
-    def is_ram(self) -> bool:
-        return self.device is None
-
 
 class PhysSpace:
     """Flat simulated physical memory, single-owner, serialized access."""
@@ -144,8 +140,9 @@ class PhysSpace:
     def _find_ram(self, addr: int, count: int, refusal: str) -> None:
         """Cache the RAM region holding [addr, addr + count), or raise.
 
-        A bulk copy or DMA is RAM-only, so an empty range at the seam of a
-        device and a RAM region is RAM, whichever of the two comes first."""
+        A bulk copy, DMA or capability access is RAM-only, so an empty range
+        at the seam of a device and a RAM region is RAM, whichever of the two
+        comes first."""
         for r in self.regions:
             if r.device is None and r.base <= addr and addr + count <= r.base + r.length:
                 self._ram_lo, self._ram_hi = r.base, r.base + r.length
@@ -200,33 +197,26 @@ class PhysSpace:
 
         After the capability check and before any charge, RAM write or
         device call, a value that is not an integer (what ``operator.index``
-        and the word codecs refuse) is refused with TypeError, and one
-        outside that range with ValueError."""
+        refuses) is refused with TypeError, and one outside that range with
+        ValueError. A bool is stored as the int it equals."""
         addr = cap.cursor + offset
         word = _PACK.get(width)
         if word is None:
             raise CapFault(FaultKind.ALIGNMENT_FAULT, addr, f"bad access width {width}")
         check_access(cap, width, WRITE_MASK, offset)
+        value = _integer(value)
         pack, end = word
         if not 0 <= value < end:
-            _integer(value)  # a non-integer (-1.0, nan) is a TypeError first
             raise ValueError(f"value {value:#x} does not fit {width} bytes")
         # Found as load finds it.
         if (self._ram_lo <= addr and addr + width <= self._ram_hi
                 or not (self._dev_lo <= addr and addr + width <= self._dev_hi)
                 and self.region_for(addr, width).device is None):
-            # The codec refuses a non-integer before it writes a byte; the
-            # refusal is re-raised as the TypeError the MMIO branch raises.
-            try:
-                pack(self.data, addr, value)
-            except struct.error:
-                _integer(value)
-                raise
+            pack(self.data, addr, value)
             self.clock += self.costs.ram_access_ns
             if self._cap_shadow:
                 self._clear_tags(addr, width)
         else:
-            value = _integer(value)
             self.clock += self.costs.mmio_access_ns
             self._dev.mmio_write(self, addr - self._dev_lo, width, value)
 
@@ -258,13 +248,13 @@ class PhysSpace:
             raise CapFault(FaultKind.ALIGNMENT_FAULT, cap.cursor,
                            "capability store needs 16-byte alignment")
         check_access(cap, GRANULE, STORE_CAP_MASK)
-        region = self.region_for(cap.cursor, GRANULE)
-        if not region.is_ram:
-            raise ValueError("capability stores are RAM-only")
-        self.advance(self.costs.ram_access_ns)
-        g = cap.cursor // GRANULE
-        self.data[cap.cursor:cap.cursor + 8] = (value.cursor % (1 << 64)).to_bytes(8, "little")
-        self.data[cap.cursor + 8:cap.cursor + 16] = (value.base % (1 << 64)).to_bytes(8, "little")
+        addr = cap.cursor
+        if addr < self._ram_lo or addr + GRANULE > self._ram_hi:
+            self._find_ram(addr, GRANULE, "capability stores are RAM-only")
+        self.clock += self.costs.ram_access_ns
+        g = addr // GRANULE
+        self.data[addr:addr + 8] = (value.cursor % (1 << 64)).to_bytes(8, "little")
+        self.data[addr + 8:addr + 16] = (value.base % (1 << 64)).to_bytes(8, "little")
         self._cap_shadow[g] = value
         self.tags[g] = 1 if value.tag else 0
 
@@ -273,14 +263,14 @@ class PhysSpace:
             raise CapFault(FaultKind.ALIGNMENT_FAULT, cap.cursor,
                            "capability load needs 16-byte alignment")
         check_access(cap, GRANULE, LOAD_CAP_MASK)
-        region = self.region_for(cap.cursor, GRANULE)
-        if not region.is_ram:
-            raise ValueError("capability loads are RAM-only")
-        self.advance(self.costs.ram_access_ns)
-        g = cap.cursor // GRANULE
+        addr = cap.cursor
+        if addr < self._ram_lo or addr + GRANULE > self._ram_hi:
+            self._find_ram(addr, GRANULE, "capability loads are RAM-only")
+        self.clock += self.costs.ram_access_ns
+        g = addr // GRANULE
         shadow = self._cap_shadow.get(g)
         if shadow is None:
-            return null_capability(int.from_bytes(self.data[cap.cursor:cap.cursor + 8], "little"))
+            return null_capability(int.from_bytes(self.data[addr:addr + 8], "little"))
         tag = bool(self.tags[g]) and shadow.tag
         return Capability(shadow.base, shadow.length, shadow.cursor, shadow.perms, tag,
                           shadow.otype)

@@ -39,7 +39,8 @@ from capslice.harness import (
     slice_standalone,
     wire_link,
 )
-from capslice.kernel import ApiError, DMA_LENGTH, ErrCode, RING_SIZE
+from capslice.kernel import (ApiError, DMA_LENGTH, DMA_RX_RING, DMA_TX_BUFS, DMA_TX_RING,
+                             ErrCode, RING_SIZE)
 from capslice.netstack import encode_udp
 from capslice.nic import BAR_LENGTH, BUF_SIZE, DESC_SIZE, FrameLink
 from capslice.physmem import GRANULE, PhysSpace
@@ -136,7 +137,7 @@ def test_criterion_4_token_provenance():
     """Minted tokens work; forged, mistyped, and unsealed ones are denied
     with zero device mutation."""
     m = build_machine("sut", MODE_MEDIATED, SUT_ENDPOINT, link=FrameLink())
-    dev = m.kernel.dev
+    dma = m.kernel.dma_root.base
 
     token = m.kernel.attach(31337)
     table = m.kernel.map_mmio(token)
@@ -147,12 +148,12 @@ def test_criterion_4_token_provenance():
             base=0x40, length=16, cursor=0x40, perms=Perm.READ,
             tag=False, otype=slicer.INTERFACE_OTYPE),
         "sealed under wrong otype": table.sealed_root,  # slicer's otype
-        "unsealed capability": dev.dma_root,
+        "unsealed capability": m.kernel.dma_root,
     }
     buf = table.by_name("TXBUF[0]")
     for what, bad in bad_tokens.items():
         writes = m.nic.counters.mmio_writes
-        ram = bytes(m.space.data[dev.dma.base:dev.dma.base + DMA_LENGTH])
+        ram = bytes(m.space.data[dma:dma + DMA_LENGTH])
         with pytest.raises(ApiError) as err:
             m.kernel.map_mmio(bad)
         assert err.value.code is ErrCode.DENIED, what
@@ -160,7 +161,7 @@ def test_criterion_4_token_provenance():
             m.kernel.ioctl_set_desc_addr(bad, "tx", 1, buf)
         assert err.value.code is ErrCode.DENIED, what
         assert m.nic.counters.mmio_writes == writes, what
-        assert bytes(m.space.data[dev.dma.base:dev.dma.base + DMA_LENGTH]) == ram, what
+        assert bytes(m.space.data[dma:dma + DMA_LENGTH]) == ram, what
     report(4, "token accepted; 3 bad-token classes denied with zero device/DMA writes")
 
 
@@ -173,20 +174,20 @@ def test_criterion_5_dma_containment():
     m = build_machine("sut", MODE_BYPASS, SUT_ENDPOINT, link=link)
     peer = build_machine("peer", MODE_BYPASS, PEER_ENDPOINT, link=link)
     got = capture(link)
-    dev = m.kernel.dev
+    dma, dma_top = m.kernel.dma_root.base, m.kernel.dma_root.top
     token = m.token
     bufs = [m.table.by_name(f"TXBUF[{k}]") for k in range(RING_SIZE)]
     frame = encode_udp(SUT_ENDPOINT, PEER_ENDPOINT, b"containment")
     inbound = encode_udp(PEER_ENDPOINT, SUT_ENDPOINT, b"inbound")
 
     def all_desc_addrs_contained() -> bool:
-        for ring in (dev.dma.tx_ring, dev.dma.rx_ring):
+        for ring in (dma + DMA_TX_RING, dma + DMA_RX_RING):
             for k in range(RING_SIZE):
                 addr = int.from_bytes(
                     m.space.dma_read(ring + k * DESC_SIZE, 8), "little")
-                if not dev.dma.bufs_base <= addr < dev.dma.bufs_end:
+                if not dma + DMA_TX_BUFS <= addr < dma_top:
                     return False
-                if addr + BUF_SIZE > dev.dma.bufs_end:  # the span the NIC may DMA
+                if addr + BUF_SIZE > dma_top:  # the span the NIC may DMA
                     return False
         return True
 
@@ -219,14 +220,14 @@ def test_criterion_5_dma_containment():
                         token, "tx", rng.randrange(RING_SIZE), hostile)
                 elif roll < 0.90:  # hostile: forged untagged pattern
                     fake = Capability(
-                        base=dev.dma.bufs_base, length=64, cursor=0,
+                        base=dma + DMA_TX_BUFS, length=64, cursor=0,
                         perms=PERM_RW, tag=False,
                         otype=rng.choice([slicer.INTERFACE_OTYPE, 0xFFFFFFFF]))
                     m.kernel.ioctl_set_desc_addr(
                         token, "rx", rng.randrange(RING_SIZE), fake)
                 else:  # hostile: raw store at a descriptor address word
                     name, cap = m.table.slices[rng.randrange(len(m.table))]
-                    ring = rng.choice([dev.dma.tx_ring, dev.dma.rx_ring])
+                    ring = rng.choice([dma + DMA_TX_RING, dma + DMA_RX_RING])
                     at = ring + rng.randrange(RING_SIZE) * DESC_SIZE
                     m.space.store(with_cursor(cap, at), 8, 0xBAD)
             except (ApiError, CapFault):

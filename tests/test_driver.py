@@ -52,9 +52,9 @@ def test_send_cannot_touch_descriptor_address_words():
 
 def test_sixty_fifth_send_without_completions_is_busy():
     sut, _, _ = pair()
-    dev = sut.kernel.dev
+    kern = sut.kernel
     # freeze the transmitter: descriptors are accepted but never complete
-    sut.space.store(with_cursor(dev.mmio_root, dev.bar_base + REG_TCTL), 4, 0)
+    sut.space.store(with_cursor(kern.mmio_root, kern.mmio_root.base + REG_TCTL), 4, 0)
     frame = encode_udp(SUT_ENDPOINT, PEER_ENDPOINT, b"x")
     for _ in range(RING_SIZE):
         sut.driver.send(frame)
@@ -87,9 +87,9 @@ def test_shadow_tail_matches_device_register(mode):
     frame = encode_udp(SUT_ENDPOINT, PEER_ENDPOINT, b"abc")
     for _ in range(5):
         send(frame)
-    dev = sut.kernel.dev
-    rings = sut.driver.rings if mode == "bypass" else dev.rings
-    tdt = sut.space.load(with_cursor(dev.mmio_root, dev.bar_base + REG_TDT), 4)
+    kern = sut.kernel
+    rings = sut.driver.rings if mode == "bypass" else kern._rings()
+    tdt = sut.space.load(with_cursor(kern.mmio_root, kern.mmio_root.base + REG_TDT), 4)
     assert tdt == rings.tx_tail == 5
 
 

@@ -39,7 +39,9 @@ from capslice.kernel import (
     DMA_LENGTH,
     DMA_MANIFEST,
     DMA_RX_BUFS,
+    DMA_RX_RING,
     DMA_TX_BUFS,
+    DMA_TX_RING,
     ErrCode,
     Kernel,
     RING_SIZE,
@@ -63,7 +65,7 @@ from capslice.slicer import SliceTable, audit_reachability
 
 def rig(mode="bypass"):
     m = build_machine("kern", mode, SUT_ENDPOINT, link=FrameLink())
-    return m, m.kernel.dev
+    return m, m.kernel
 
 
 def new_kernel(bar_manifest, priv_base=RAM_BASE):
@@ -76,49 +78,53 @@ def new_kernel(bar_manifest, priv_base=RAM_BASE):
                   BAR_BASE, bar_manifest)
 
 
-def mmio_read(m, dev, offset):
-    return m.space.load(with_cursor(dev.mmio_root, dev.bar_base + offset), 4)
+def mmio_read(m, kern, offset):
+    return m.space.load(with_cursor(kern.mmio_root, kern.mmio_root.base + offset), 4)
+
+
+def dma_at(kern, offset):
+    return kern.dma_root.base + offset
 
 
 def desc_addr(m, ring, index):
     return int.from_bytes(m.space.dma_read(ring + index * DESC_SIZE, 8), "little")
 
 
-def dma_snapshot(m, dev):
-    return bytes(m.space.data[dev.dma.base:dev.dma.base + DMA_LENGTH])
+def dma_snapshot(m, kern):
+    return bytes(m.space.data[kern.dma_root.base:kern.dma_root.base + DMA_LENGTH])
 
 
 # -- stub bring-up -----------------------------------------------------------
 
 def test_stub_attach_brings_link_up():
-    m, dev = rig()
-    assert mmio_read(m, dev, REG_STATUS) & STATUS_LU
+    m, kern = rig()
+    assert mmio_read(m, kern, REG_STATUS) & STATUS_LU
 
 
 def test_stub_preprograms_descriptors_to_paired_buffers():
-    m, dev = rig()
+    m, kern = rig()
     for k in range(RING_SIZE):
-        assert desc_addr(m, dev.dma.rx_ring, k) == dev.dma.base + DMA_RX_BUFS + k * BUF_SIZE
-        assert desc_addr(m, dev.dma.tx_ring, k) == dev.dma.base + DMA_TX_BUFS + k * BUF_SIZE
+        assert desc_addr(m, dma_at(kern, DMA_RX_RING), k) == dma_at(kern, DMA_RX_BUFS) + k * BUF_SIZE
+        assert desc_addr(m, dma_at(kern, DMA_TX_RING), k) == dma_at(kern, DMA_TX_BUFS) + k * BUF_SIZE
 
 
 def test_stub_initial_ring_registers():
-    m, dev = rig()
-    assert mmio_read(m, dev, REG_TDT) == 0
-    assert mmio_read(m, dev, REG_TDH) == 0
-    assert mmio_read(m, dev, REG_RDT) == RING_SIZE - 1
+    m, kern = rig()
+    assert mmio_read(m, kern, REG_TDT) == 0
+    assert mmio_read(m, kern, REG_TDH) == 0
+    assert mmio_read(m, kern, REG_RDT) == RING_SIZE - 1
 
 
 def test_double_attach_is_error():
-    m, dev = rig()
+    m, kern = rig()
     with pytest.raises(ApiError) as err:
-        m.kernel.stub_attach(BAR_BASE, dev.bar_manifest)
+        m.kernel.stub_attach(BAR_BASE, kern.bar_manifest)
     assert err.value.code is ErrCode.BUSY
 
 
 def test_stub_refuses_any_grant_of_a_privileged_register():
-    m, dev = rig()
-    shipped = dev.bar_manifest
+    m, kern = rig()
+    shipped = kern.bar_manifest
     kernel_only = [e for e in shipped.entries if e.perm is PermClass.KERNEL]
     assert sorted(e.offset for e in kernel_only) == sorted(PRIVILEGED)
     for e in kernel_only:
@@ -130,8 +136,8 @@ def test_stub_refuses_any_grant_of_a_privileged_register():
 
 
 def test_stub_refuses_a_bar_manifest_that_fails_validate():
-    m, dev = rig()
-    shipped = dev.bar_manifest
+    m, kern = rig()
+    shipped = kern.bar_manifest
     entries = tuple(replace(e, size=12) if e.name == "CTRL" else e for e in shipped.entries)
     with pytest.raises(ApiError) as err:
         new_kernel(replace(shipped, entries=entries))
@@ -141,9 +147,9 @@ def test_stub_refuses_a_bar_manifest_that_fails_validate():
 
 def test_stub_refuses_a_bar_manifest_for_another_device():
     # The manifest's `device` line is the one input that names the device.
-    m, dev = rig()
+    m, kern = rig()
     with pytest.raises(ApiError) as err:
-        new_kernel(replace(dev.bar_manifest, device_name="virtio"))
+        new_kernel(replace(kern.bar_manifest, device_name="virtio"))
     assert err.value.code is ErrCode.BAD_ARGUMENT and "virtio" in err.value.detail
 
 
@@ -225,9 +231,9 @@ def test_stub_programs_the_whole_bar_under_a_short_manifest():
     # root spans the device's BAR, so bring-up and the socket path work.
     short = parse("device e1000e\nbar 0x100\nreg CTRL 0x0 4 RW\n")
     m = build_machine("kern", "mediated", SUT_ENDPOINT, link=FrameLink(), bar_manifest=short)
-    dev = m.kernel.dev
-    assert dev.mmio_root.length == BAR_LENGTH
-    assert mmio_read(m, dev, REG_RDT) == RING_SIZE - 1
+    kern = m.kernel
+    assert kern.mmio_root.length == BAR_LENGTH
+    assert mmio_read(m, kern, REG_RDT) == RING_SIZE - 1
     m.driver.mediated_send(b"x" * 60)
     assert m.nic.counters.tx_frames == 1
     with pytest.raises(ApiError) as err:
@@ -238,13 +244,13 @@ def test_stub_programs_the_whole_bar_under_a_short_manifest():
 def test_api_errors_survive_pickling():
     # One real error per code; each round-trips with its code and text (a
     # process pool pickles a worker's exception).
-    m, dev = rig()
+    m, kern = rig()
     token = m.kernel.attach(1)
     raisers = {
-        ErrCode.DENIED: lambda: m.kernel.map_mmio(dev.mmio_root),
-        ErrCode.BUSY: lambda: m.kernel.stub_attach(BAR_BASE, dev.bar_manifest),
+        ErrCode.DENIED: lambda: m.kernel.map_mmio(kern.mmio_root),
+        ErrCode.BUSY: lambda: m.kernel.stub_attach(BAR_BASE, kern.bar_manifest),
         ErrCode.BAD_ARGUMENT: lambda: m.kernel.ioctl_set_desc_addr(token, "zz", 0,
-                                                                   dev.mmio_root),
+                                                                   kern.mmio_root),
     }
     assert set(raisers) == set(ErrCode)
     for code, raise_it in raisers.items():
@@ -306,9 +312,9 @@ def test_map_mmio_single_mapping_rule():
 
 
 def test_map_mmio_denies_forged_and_mistyped_tokens():
-    m, dev = rig()
+    m, kern = rig()
     writes_before = m.nic.counters.mmio_writes
-    ram_before = dma_snapshot(m, dev)
+    ram_before = dma_snapshot(m, kern)
 
     forged = Capability(base=0x40, length=16, cursor=0x40, perms=Perm.READ,
                         tag=False, otype=slicer.INTERFACE_OTYPE)
@@ -325,19 +331,19 @@ def test_map_mmio_denies_forged_and_mistyped_tokens():
 
     # plain unsealed capability
     with pytest.raises(ApiError) as err:
-        m.kernel.map_mmio(dev.dma_root)
+        m.kernel.map_mmio(kern.dma_root)
     assert err.value.code is ErrCode.DENIED
 
     assert m.nic.counters.mmio_writes == writes_before
-    assert dma_snapshot(m, dev) == ram_before
+    assert dma_snapshot(m, kern) == ram_before
 
 
 def test_returned_capabilities_are_sealed_or_strict_subranges():
-    m, dev = rig()
+    m, kern = rig()
     token = m.kernel.attach(7)
     table = m.kernel.map_mmio(token)
-    roots = {(dev.mmio_root.base, dev.mmio_root.length),
-             (dev.dma_root.base, dev.dma_root.length)}
+    roots = {(kern.mmio_root.base, kern.mmio_root.length),
+             (kern.dma_root.base, kern.dma_root.length)}
     for name, cap in table:
         assert not (cap.base, cap.length) in roots or cap.sealed, name
     for sealed in (table.sealed_root, table.sealed_dma_root, token):
@@ -348,14 +354,13 @@ def test_dma_carving_reaches_no_descriptor_address_word():
     # Checked against the descriptor format, not against the kernel's DMA
     # carving: bytes 0..7 of every TX and RX descriptor select where the NIC
     # DMAs, so no slice may read or write any of them.
-    m, dev = rig()
-    base = dev.dma.base
+    m, _ = rig()
     view = slicer.SliceTable(slices=m.table.slices, sealed_root=m.table.sealed_dma_root)
-    reach = slicer.audit_reachability(view, dev.dma.rx_ring + RING_SIZE * DESC_SIZE - base)
+    reach = slicer.audit_reachability(view, DMA_RX_RING + RING_SIZE * DESC_SIZE)
     rw = slicer.AUDIT_READ | slicer.AUDIT_WRITE
-    for ring in (dev.dma.tx_ring, dev.dma.rx_ring):
+    for ring in (DMA_TX_RING, DMA_RX_RING):
         for k in range(RING_SIZE):
-            desc = ring - base + k * DESC_SIZE
+            desc = ring + k * DESC_SIZE
             assert not any(reach[desc:desc + 8]), (hex(ring), k)
             # the audit is not blind: the driver owns each descriptor's tail
             assert set(reach[desc + 8:desc + DESC_SIZE]) == {rw}, (hex(ring), k)
@@ -364,13 +369,13 @@ def test_dma_carving_reaches_no_descriptor_address_word():
 def test_whole_dma_region_audit_equals_the_carving_and_spares_every_address_word():
     # The full region, packet buffers included: the rings' audit above
     # stops short of the buffers.
-    m, dev = rig()
+    m, _ = rig()
     view = SliceTable(slices=m.table.slices, sealed_root=m.table.sealed_dma_root)
     reach = audit_reachability(view, DMA_LENGTH)
     assert reach == manifest_reach_oracle(DMA_MANIFEST)
-    for ring in (dev.dma.tx_ring, dev.dma.rx_ring):
+    for ring in (DMA_TX_RING, DMA_RX_RING):
         for k in range(RING_SIZE):
-            desc = ring - dev.dma.base + k * DESC_SIZE
+            desc = ring + k * DESC_SIZE
             assert not any(reach[desc:desc + 8]), (hex(ring), k)
 
 
@@ -430,15 +435,15 @@ def test_a_bad_dma_root_faults_on_every_carving(monkeypatch, root, kind):
 
 def test_a_kernel_elsewhere_in_ram_carves_its_own_dma_region():
     k = new_kernel(default_manifests(), priv_base=RAM_BASE + 0x40000)
-    dma = k.dev.dma
-    assert dma.base == RAM_BASE + 0x40000 != rig()[1].dma.base
+    dma = k.dma_root
+    assert dma.base == RAM_BASE + 0x40000 != rig()[1].dma_root.base
     table = k.map_mmio(k.attach(5))
     dma_slices = [cap for name, cap in table if name.startswith(("TX", "RX"))]
     rings = k._rings()
     assert len(dma_slices) == 4 * RING_SIZE
     for cap in dma_slices + rings.tx_meta + rings.tx_bufs + rings.rx_meta + rings.rx_bufs:
-        assert cap.tag and dma.base <= cap.base and cap.top <= dma.bufs_end
-    assert slicer.unmap(table.sealed_dma_root) == k.dev.dma_root
+        assert cap.tag and dma.base <= cap.base and cap.top <= dma.top
+    assert slicer.unmap(table.sealed_dma_root) == k.dma_root
 
 
 @pytest.mark.parametrize("mode,carvings", [("bypass", 1), ("mediated", 0)])
@@ -451,47 +456,77 @@ def test_bring_up_after_a_warm_up_slices_only_the_bar(monkeypatch, mode, carving
     m = build_machine("kern", mode, SUT_ENDPOINT)
     m.kernel.socket_recv()
     assert len(roots) == carvings
-    assert all(root == m.kernel.dev.mmio_root for root in roots)
+    assert all(root == m.kernel.mmio_root for root in roots)
 
 
 # -- the privileged ioctl -----------------------------------------------------
 
 def test_ioctl_updates_descriptor_address():
-    m, dev = rig()
+    m, kern = rig()
     token = m.kernel.attach(7)
     table = m.kernel.map_mmio(token)
     buf5 = table.by_name("TXBUF[5]")
     m.kernel.ioctl_set_desc_addr(token, "tx", 0, buf5)
-    assert desc_addr(m, dev.dma.tx_ring, 0) == buf5.base
+    assert desc_addr(m, dma_at(kern, DMA_TX_RING), 0) == buf5.base
+
+
+@pytest.mark.parametrize("queue,perms,lacks", [
+    ("rx", Perm.READ, "WRITE"),
+    ("rx", Perm.WRITE, "READ"),
+    ("tx", Perm.WRITE, "READ"),
+])
+def test_ioctl_requires_the_authority_the_device_uses_on_the_buffer(queue, perms, lacks):
+    # The NIC reads a TX buffer and writes an RX buffer, so a capability
+    # without that authority must not aim the device's DMA at its bytes.
+    m, kern = rig()
+    token = m.kernel.attach(7)
+    buf = restrict_perms(m.kernel.map_mmio(token).by_name("RXBUF[5]"), perms)
+    ring = dma_at(kern, DMA_RX_RING if queue == "rx" else DMA_TX_RING)
+    before = desc_addr(m, ring, 0)
+    with pytest.raises(ApiError) as err:
+        m.kernel.ioctl_set_desc_addr(token, queue, 0, buf)
+    assert err.value.code is ErrCode.DENIED
+    assert err.value.detail == f"buffer capability lacks {lacks}"
+    assert desc_addr(m, ring, 0) == before
+
+
+@pytest.mark.parametrize("queue,perms", [("tx", Perm.READ), ("rx", PERM_RW)])
+def test_ioctl_accepts_a_buffer_with_the_authority_the_device_uses(queue, perms):
+    m, kern = rig()
+    token = m.kernel.attach(7)
+    buf = restrict_perms(m.kernel.map_mmio(token).by_name("RXBUF[5]"), perms)
+    m.kernel.ioctl_set_desc_addr(token, queue, 0, buf)
+    ring = dma_at(kern, DMA_RX_RING if queue == "rx" else DMA_TX_RING)
+    assert desc_addr(m, ring, 0) == buf.base
 
 
 def test_ioctl_rejects_untagged_disguised_integer():
-    m, dev = rig()
+    m, kern = rig()
     token = m.kernel.attach(7)
-    fake = Capability(base=dev.dma.bufs_base, length=64, cursor=dev.dma.bufs_base,
+    fake = Capability(base=dma_at(kern, DMA_TX_BUFS), length=64, cursor=dma_at(kern, DMA_TX_BUFS),
                       perms=Perm.READ, tag=False)
-    before = desc_addr(m, dev.dma.tx_ring, 0)
+    before = desc_addr(m, dma_at(kern, DMA_TX_RING), 0)
     with pytest.raises(ApiError) as err:
         m.kernel.ioctl_set_desc_addr(token, "tx", 0, fake)
     assert err.value.code is ErrCode.DENIED
-    assert desc_addr(m, dev.dma.tx_ring, 0) == before
+    assert desc_addr(m, dma_at(kern, DMA_TX_RING), 0) == before
 
 
 def test_ioctl_rejects_capability_outside_buffer_region():
-    m, dev = rig()
+    m, kern = rig()
     token = m.kernel.attach(7)
     table = m.kernel.map_mmio(token)
     # tagged, readable, but bounds a descriptor ring, not a buffer
     ring_cap = table.by_name("TXD_META[3]")
-    before = desc_addr(m, dev.dma.tx_ring, 3)
+    before = desc_addr(m, dma_at(kern, DMA_TX_RING), 3)
     with pytest.raises(ApiError) as err:
         m.kernel.ioctl_set_desc_addr(token, "tx", 3, ring_cap)
     assert err.value.code is ErrCode.DENIED
-    assert desc_addr(m, dev.dma.tx_ring, 3) == before
+    assert desc_addr(m, dma_at(kern, DMA_TX_RING), 3) == before
 
 
 def test_ioctl_rejects_kernel_ram_capability():
-    m, dev = rig()
+    m, kern = rig()
     token = m.kernel.attach(7)
     alien = Capability(base=0x40, length=2048, cursor=0x40, perms=PERM_RW, tag=True)
     with pytest.raises(ApiError) as err:
@@ -507,14 +542,14 @@ def test_ioctl_rejects_capability_shorter_than_a_buffer():
     link = FrameLink()
     got = capture(link)
     m = build_machine("kern", "bypass", SUT_ENDPOINT, link=link, process_id=pid)
-    dev = m.kernel.dev
+    kern = m.kernel
     last = m.table.by_name(f"RXBUF[{RING_SIZE - 1}]")
     for buf in (derive_bounds(last, last.top - 1, 1),
                 derive_bounds(last, last.base, BUF_SIZE - 1)):
         with pytest.raises(ApiError) as err:
             m.kernel.ioctl_set_desc_addr(m.token, "tx", 0, buf)
         assert err.value.code is ErrCode.DENIED
-        assert desc_addr(m, dev.dma.tx_ring, 0) == dev.dma.base + DMA_TX_BUFS
+        assert desc_addr(m, dma_at(kern, DMA_TX_RING), 0) == dma_at(kern, DMA_TX_BUFS)
     frame = bytes(1514)
     m.driver.send(frame)
     assert [f for _, f in got[1]] == [frame]
@@ -522,7 +557,7 @@ def test_ioctl_rejects_capability_shorter_than_a_buffer():
 
 
 def test_ioctl_argument_validation():
-    m, dev = rig()
+    m, kern = rig()
     token = m.kernel.attach(7)
     table = m.kernel.map_mmio(token)
     buf = table.by_name("TXBUF[0]")
@@ -535,16 +570,16 @@ def test_ioctl_argument_validation():
 
 
 def test_ioctl_requires_valid_token():
-    m, dev = rig()
-    buf = Capability(base=dev.dma.bufs_base, length=64, cursor=dev.dma.bufs_base,
+    m, kern = rig()
+    buf = Capability(base=dma_at(kern, DMA_TX_BUFS), length=64, cursor=dma_at(kern, DMA_TX_BUFS),
                      perms=Perm.READ, tag=True)
     with pytest.raises(ApiError) as err:
-        m.kernel.ioctl_set_desc_addr(dev.dma_root, "tx", 0, buf)
+        m.kernel.ioctl_set_desc_addr(kern.dma_root, "tx", 0, buf)
     assert err.value.code is ErrCode.DENIED
 
 
 def test_containment_across_hostile_ioctl_storm():
-    m, dev = rig()
+    m, kern = rig()
     token = m.kernel.attach(7)
     table = m.kernel.map_mmio(token)
     rng = random.Random(1337)
@@ -562,16 +597,16 @@ def test_containment_across_hostile_ioctl_storm():
                 m.kernel.ioctl_set_desc_addr(token, "tx",
                                              rng.randrange(RING_SIZE), hostile)
             else:
-                fake = Capability(base=dev.dma.bufs_base, length=8, cursor=0,
+                fake = Capability(base=dma_at(kern, DMA_TX_BUFS), length=8, cursor=0,
                                   perms=PERM_RW, tag=False)
                 m.kernel.ioctl_set_desc_addr(token, "rx",
                                              rng.randrange(RING_SIZE), fake)
         except ApiError:
             pass
         for k in range(RING_SIZE):
-            for ring in (dev.dma.tx_ring, dev.dma.rx_ring):
+            for ring in (dma_at(kern, DMA_TX_RING), dma_at(kern, DMA_RX_RING)):
                 addr = desc_addr(m, ring, k)
-                assert dev.dma.bufs_base <= addr < dev.dma.bufs_end
+                assert dma_at(kern, DMA_TX_BUFS) <= addr < kern.dma_root.top
 
 
 # -- mediated socket path ---------------------------------------------------------
@@ -590,7 +625,7 @@ def test_socket_path_echoes_bytes():
 
 
 def test_socket_send_charges_syscalls_and_extra_copy():
-    m, dev = rig("mediated")
+    m, kern = rig("mediated")
     frame = bytes(200)
     t0 = m.space.clock
     m.kernel.socket_send(frame)
@@ -604,9 +639,9 @@ def test_socket_send_charges_syscalls_and_extra_copy():
 
 
 def test_socket_send_busy_when_ring_stalls():
-    m, dev = rig("mediated")
+    m, kern = rig("mediated")
     # freeze the transmitter so completions never arrive
-    m.space.store(with_cursor(dev.mmio_root, dev.bar_base + REG_TCTL), 4, 0)
+    m.space.store(with_cursor(kern.mmio_root, kern.mmio_root.base + REG_TCTL), 4, 0)
     for _ in range(RING_SIZE):
         m.kernel.socket_send(b"x" * 32)
     with pytest.raises(ApiError) as err:
