@@ -11,7 +11,7 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 suite/validation failure, an unreadable
 manifest, or one the kernel refuses, 2 usage error (including a sweep grid
-or cost flag out of range).
+or cost flag out of range, and a sweep whose clock reaches 2**53 ns).
 """
 
 from __future__ import annotations
@@ -211,7 +211,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if cfg.bar_manifest is None:
             return 1
 
-    result = harness.run_sweep(cfg)
+    try:
+        result = harness.run_sweep(cfg)
+    except harness.ClockOverflow as err:
+        print(f"capslice sweep: error: {err}", file=sys.stderr)
+        return 2
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "results.csv").write_text(harness.results_csv(result), encoding="utf-8")
     print(f"wrote {args.out / 'results.csv'} ({len(result.cells)} cells)")

@@ -22,6 +22,7 @@ DMA region, adding only the crossing and copy charges.
 from __future__ import annotations
 
 import functools
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -110,6 +111,19 @@ def _carve_dma(dma_root: Capability) -> slicer.SliceTable:
     check; a hit returns the immutable table an equal root produced. A
     faulting root is not cached, so it faults on every call."""
     return slicer.slice(dma_root, DMA_MANIFEST)
+
+
+_DESC_WORDS = DESC_SIZE // 8
+_pack_ring = struct.Struct(f"<{RING_SIZE * _DESC_WORDS}Q").pack
+
+
+def _ring_image(bufs: int) -> bytes:
+    """A descriptor ring as bring-up preloads it, in 8-byte words:
+    descriptor k holds the address of buffer k, `BUF_SIZE` bytes each from
+    `bufs`, and zeroes from its length field on."""
+    words = [0] * (RING_SIZE * _DESC_WORDS)
+    words[::_DESC_WORDS] = range(bufs, bufs + RING_SIZE * BUF_SIZE, BUF_SIZE)
+    return _pack_ring(*words)
 
 
 class ErrCode(Enum):
@@ -327,17 +341,10 @@ class Kernel:
         reg(REG_RDH, 0)
 
         # Preprogram every descriptor to its paired buffer so the data
-        # path never needs the kernel to fix addresses: descriptor k holds
-        # the address of buffer k, `BUF_SIZE` bytes each from `DMA_TX_BUFS`
-        # or `DMA_RX_BUFS`.
-        tx_buf, rx_buf = dma_base + DMA_TX_BUFS, dma_base + DMA_RX_BUFS
-        for k in range(RING_SIZE):
-            tx, rx = DMA_TX_RING + k * DESC_SIZE, DMA_RX_RING + k * DESC_SIZE
-            buf = k * BUF_SIZE
-            store(dma_root, 8, tx_buf + buf, tx)
-            store(dma_root, 8, 0, tx + DESC_LENGTH)
-            store(dma_root, 8, rx_buf + buf, rx)
-            store(dma_root, 8, 0, rx + DESC_LENGTH)
+        # path never needs the kernel to fix addresses: one checked 8-byte
+        # store per word of each ring, made as one run.
+        self.space.store_words(dma_root, 8, _ring_image(dma_base + DMA_TX_BUFS), DMA_TX_RING)
+        self.space.store_words(dma_root, 8, _ring_image(dma_base + DMA_RX_BUFS), DMA_RX_RING)
 
         reg(REG_TCTL, TCTL_EN)
         reg(REG_RCTL, RCTL_EN)

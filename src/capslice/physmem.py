@@ -220,6 +220,36 @@ class PhysSpace:
             self.clock += self.costs.mmio_access_ns
             self._dev.mmio_write(self, addr - self._dev_lo, width, value)
 
+    def store_words(self, cap: Capability, width: int, payload: bytes, offset: int = 0) -> None:
+        """Store `payload` as consecutive little-endian `width`-byte RAM words
+        from cap.cursor + offset: the `store` of each word, made as one write.
+
+        A bad width, then a payload that is not whole words, is refused before
+        any check. Every word then passes `check_access` before any byte is
+        written or charged, so a run faults as its first faulting word's
+        `store` would, with no effect; a run that is not RAM is refused as
+        `store_bytes` refuses one. The clock gains `ram_access_ns` once per
+        word, in word order. An empty payload is no access at all."""
+        addr = cap.cursor + offset
+        if width not in _PACK:
+            raise CapFault(FaultKind.ALIGNMENT_FAULT, addr, f"bad access width {width}")
+        count = len(payload)
+        if count % width:
+            raise ValueError(f"{count} bytes are not whole {width}-byte words")
+        if not count:
+            return
+        for at in range(offset, offset + count, width):
+            check_access(cap, width, WRITE_MASK, at)
+        if addr < self._ram_lo or addr + count > self._ram_hi:
+            self._find_ram(addr, count, "bulk stores are RAM-only")
+        clock, ram_ns = self.clock, self.costs.ram_access_ns
+        for _ in range(count // width):
+            clock += ram_ns
+        self.clock = clock
+        self.data[addr:addr + count] = payload
+        if self._cap_shadow:
+            self._clear_tags(addr, count)
+
     # -- bulk data copies (RAM only) ----------------------------------------
 
     def load_bytes(self, cap: Capability, count: int) -> bytes:

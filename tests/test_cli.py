@@ -1,6 +1,8 @@
 import re
 from pathlib import Path
 
+import pytest
+
 from capslice.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "capslice" / "data"
@@ -240,3 +242,56 @@ def test_bar_manifest_the_stub_or_driver_cannot_use_exits_1(tmp_path, capsys):
             assert len(lines) == 1 and lines[0].startswith("error: bad argument:"), argv
             assert detail in lines[0] and "Traceback" not in captured.err, argv
             assert not out.exists(), argv
+
+
+# Manifests that withhold CTRL, then STATUS too: each passes `validate` and
+# runs under `sweep`, so `audit` must run on it as well.
+WITHHOLDING = {
+    "no-ctrl": "device e1000e\nbar 0x20000\nreg RDT 0x2818 4 RW\nreg TDT 0x3818 4 RW\n",
+    "no-status": "device e1000e\nbar 0x20000\nreg CTRL 0x0 4 RW\n"
+                 "reg RDT 0x2818 4 RW\nreg TDT 0x3818 4 RW\n",
+}
+
+
+@pytest.mark.parametrize("label", sorted(WITHHOLDING))
+def test_audit_of_a_manifest_withholding_ctrl_or_status_passes(tmp_path, capsys, label):
+    path = tmp_path / f"{label}.manifest"
+    path.write_text(WITHHOLDING[label])
+    assert main(["validate", str(path)]) == 0
+    assert main(["audit", "--manifest", str(path), "--out", str(tmp_path / "out")]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and "[FAIL]" not in captured.out
+    # The offset attack probes IMS, 0xD0 into the BAR, from a writable slice.
+    attack = re.search(r"\[PASS\] offset-attack: BOUNDS_VIOLATION at (0x[0-9a-f]+)\n",
+                       captured.out)
+    assert attack and int(attack[1], 16) % 0x1000 == 0xD0
+    assert "[PASS] readonly-status: STATUS withheld\n" in captured.out
+
+
+# A link delay whose round trip reaches 2**53 ns, where a float clock no
+# longer holds every nanosecond, or overflows to inf.
+@pytest.mark.parametrize("link_ns", ["1e308", "1e16"])
+def test_sweep_whose_clock_leaves_exact_nanoseconds_exits_2(tmp_path, capsys, link_ns):
+    out = tmp_path / "out"
+    argv = ["sweep", "--link-ns", link_ns, "--trials", "1", "--sizes", "1", "--delays", "0",
+            "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("capslice sweep: error: ") and "2**53" in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_sweep_lets_any_other_value_error_propagate(tmp_path, monkeypatch):
+    # Only the clock refusal is a usage error; a ValueError from a program
+    # defect inside a cell must surface as a crash, not as exit 2.
+    from capslice import harness
+
+    def broken_cell(*args, **kwargs):
+        raise ValueError("run maps to no single region")
+
+    monkeypatch.setattr(harness, "run_cell", broken_cell)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="no single region"):
+        main(["sweep", "--trials", "1", "--sizes", "1", "--delays", "0", "--out", str(out)])
+    assert not out.exists()

@@ -459,6 +459,37 @@ def test_bring_up_after_a_warm_up_slices_only_the_bar(monkeypatch, mode, carving
     assert all(root == m.kernel.mmio_root for root in roots)
 
 
+@pytest.mark.parametrize("mode,stores", [("bypass", 14), ("mediated", 12)])
+def test_bring_up_preloads_each_ring_in_one_word_run(monkeypatch, mode, stores):
+    # The 12 register stores, the bypass attach record's two, and one run of
+    # 128 8-byte words per descriptor ring: no per-word preload store is left.
+    calls = {"store": [], "store_words": []}
+    for name, seen in calls.items():
+        def counted(space, *args, _real=getattr(PhysSpace, name), _seen=seen):
+            _seen.append(args)
+            return _real(space, *args)
+        monkeypatch.setattr(PhysSpace, name, counted)
+    m = build_machine("kern", mode, SUT_ENDPOINT)
+    assert len(calls["store"]) == stores
+    dma_root = m.kernel.dma_root
+    assert [(cap, width, len(payload), offset) for cap, width, payload, offset
+            in calls["store_words"]] == [(dma_root, 8, RING_SIZE * DESC_SIZE, DMA_TX_RING),
+                                         (dma_root, 8, RING_SIZE * DESC_SIZE, DMA_RX_RING)]
+
+
+def test_preload_follows_each_kernels_own_buffers():
+    # The ring image follows the buffer address: a kernel elsewhere in RAM,
+    # built between two at the usual base, points its descriptors at its own
+    # buffers, and each descriptor is zero from its length field on.
+    for priv_base in (RAM_BASE, RAM_BASE + 0x40000, RAM_BASE):
+        k = new_kernel(default_manifests(), priv_base=priv_base)
+        assert k.dma_root.base == priv_base
+        for ring, bufs in ((DMA_TX_RING, DMA_TX_BUFS), (DMA_RX_RING, DMA_RX_BUFS)):
+            for i in range(RING_SIZE):
+                desc = k.space.dma_read(priv_base + ring + i * DESC_SIZE, DESC_SIZE)
+                assert desc == (priv_base + bufs + i * BUF_SIZE).to_bytes(8, "little") + bytes(8)
+
+
 # -- the privileged ioctl -----------------------------------------------------
 
 def test_ioctl_updates_descriptor_address():

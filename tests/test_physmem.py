@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from capslice import physmem
 from capslice.capability import (
     LOAD_CAP_MASK,
     READ_MASK,
@@ -223,6 +224,90 @@ def test_store_fault_comes_before_the_value_check(where):
         space.store(restrict_perms(cap, Perm.READ), 4, 1 << 32)
     assert err.value.kind is FaultKind.PERMISSION_DENIED
     assert space.clock == clock and dev.writes == []
+
+
+def snapshot(space):
+    return space.clock, space.data[:], bytes(space.tags)
+
+
+def test_store_words_writes_each_word_and_charges_as_its_stores():
+    # A cost no binary fraction holds, so that a charge made once per run
+    # (or in another order) would show in the clock's last bits.
+    costs = AccessCostTable(ram_access_ns=0.1)
+    spaces = []
+    for _ in range(2):
+        space, authority = PhysSpace.create(0x20000, costs)
+        space.add_region(0x0, 0x10000, name="ram")
+        root = authority.issue_root(0, 0x10000, CAP_PERMS)
+        space.cap_store(with_cursor(root, 0x100), root)
+        space.advance(0.3)
+        spaces.append((space, with_cursor(root, 0xF8)))
+    words = [0x0123456789ABCDEF, 0, 0xFFFFFFFFFFFFFFFF, 0x42, 7]
+    (runs, cap), (stores, _) = spaces
+    runs.store_words(cap, 8, b"".join(w.to_bytes(8, "little") for w in words), 8)
+    for i, word in enumerate(words):
+        stores.store(cap, 8, word, 8 + 8 * i)
+    assert snapshot(runs) == snapshot(stores)
+    assert [runs.load(cap, 8, 8 + 8 * i) for i in range(len(words))] == words
+    assert runs.tags[0x100 // GRANULE] == 0
+
+
+# A run whose first or last word lies outside the capability, or whose every
+# word lacks WRITE.
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("kind", ["bounds", "permission"])
+def test_store_words_fault_is_its_first_faulting_words_and_has_no_effect(where, kind):
+    space, dev, ram = word_store_rig("ram")
+    cap = derive_bounds(ram, 0x100, 0x30)  # six 8-byte words from its cursor
+    if kind == "permission":
+        cap = restrict_perms(cap, Perm.READ)
+    # Four words from 0x100 + offset: the first lies below the capability,
+    # or the last above it.
+    offset = {"first": -8, "last": 0x18}[where]
+    before = snapshot(space)
+    with pytest.raises(CapFault) as run_fault:
+        space.store_words(cap, 8, bytes(range(32)), offset)
+    faulting = offset if where == "first" or kind == "permission" else offset + 24
+    with pytest.raises(CapFault) as store_fault:
+        space.store(cap, 8, 0, faulting)
+    assert str(run_fault.value) == str(store_fault.value)
+    assert (run_fault.value.kind, run_fault.value.address) == (
+        store_fault.value.kind, store_fault.value.address)
+    assert snapshot(space) == before and dev.writes == []
+
+
+@pytest.mark.parametrize("start,refusal", [
+    (0xFFF8, "maps to no single region"),  # from RAM's last word into the BAR
+    (0x10000, "bulk stores are RAM-only"),  # wholly in the BAR
+])
+def test_store_words_touching_the_bar_is_refused_before_any_charge(start, refusal):
+    space, _, dev = make_space()
+    whole = Capability(0, 0x20000, start, PERM_RW, True)
+    space.load(Capability(0x10000, 0x1000, 0x10000, PERM_RW, True), 4)  # the BAR cached
+    before = snapshot(space)
+    with pytest.raises(ValueError, match=refusal):
+        space.store_words(whole, 4, bytes(16))
+    assert snapshot(space) == before and dev.writes == []
+
+
+@pytest.mark.parametrize("width,payload,error", [
+    (3, bytes(6), CapFault), (0, b"", CapFault), (16, bytes(16), CapFault),
+    (8, bytes(12), ValueError), (4, bytes(1), ValueError), (2, bytes(3), ValueError),
+])
+def test_store_words_refuses_a_bad_width_or_ragged_payload_before_any_check(
+        monkeypatch, width, payload, error):
+    space, _, _ = make_space()
+    checks = []
+    monkeypatch.setattr(physmem, "check_access", lambda *args: checks.append(args))
+    # An untagged capability: any check would fault on its tag.
+    cap = Capability(0, 0x10000, 0x100, PERM_RW, False)
+    with pytest.raises(error) as err:
+        space.store_words(cap, width, payload)
+    if error is CapFault:
+        assert err.value.kind is FaultKind.ALIGNMENT_FAULT
+    else:
+        assert f"not whole {width}-byte words" in str(err.value)
+    assert checks == [] and space.clock == 0.0
 
 
 def test_access_costs_charged():
@@ -603,6 +688,21 @@ class ReferenceSpace:
             self.advance(self.costs.mmio_access_ns)
             device.mmio_write(self, addr - base, width, value)
 
+    def store_words(self, cap, width, payload, offset=0):
+        # Every word's checks first, then one store per word.
+        addr = cap.cursor + offset
+        if width not in DATA_WIDTHS:
+            raise CapFault(FaultKind.ALIGNMENT_FAULT, addr, f"bad access width {width}")
+        if len(payload) % width:
+            raise ValueError(f"{len(payload)} bytes are not whole {width}-byte words")
+        words = range(0, len(payload), width)
+        for i in words:
+            check_access(cap, width, WRITE_MASK, offset + i)
+        if payload:
+            self.ram(addr, len(payload), "bulk stores are RAM-only")
+        for i in words:
+            self.store(cap, width, int.from_bytes(payload[i:i + width], "little"), offset + i)
+
     def ram(self, addr, count, refusal):
         # Copies and DMA are RAM-only: any RAM region holding the exact
         # range will do, so an empty range at a seam with a device is RAM.
@@ -700,11 +800,24 @@ widths = st.sampled_from((1, 2, 3, 4, 8, 8))
 offsets = st.sampled_from((0, 0, 0, -1, 1, 8))
 payloads = st.binary(max_size=40)
 
+
+def word_run(cap, width, words, data, ragged, offset):
+    """A store_words operation of whole words, or of one byte more."""
+    return "store_words", cap, width, data[:words * width + ragged], offset
+
+
+def word_runs(cap_strategy):
+    return st.builds(word_run, cap_strategy, widths, st.integers(0, 5),
+                     st.binary(min_size=41, max_size=41), st.sampled_from((0, 0, 0, 1)),
+                     offsets)
+
+
 operations = st.one_of(
     st.tuples(st.just("load"), caps, widths, offsets),
     st.tuples(st.just("store"), caps, widths, st.integers(0, (1 << 64) - 1), offsets),
     st.tuples(st.just("load_bytes"), caps, st.integers(-2, 40)),
     st.tuples(st.just("store_bytes"), caps, payloads),
+    word_runs(caps),
     st.tuples(st.just("cap_store"), st.one_of(caps, aligned_caps),
               st.sampled_from(CAP_POOL)),
     st.tuples(st.just("cap_load"), st.one_of(caps, aligned_caps)),
@@ -751,6 +864,14 @@ EDGE_OPS = [
     ("dma_read", 0x10000, 0), ("dma_write", 0x11000, b""), ("dma_read", 0x20000, 0),
     ("load_bytes", wide(0x11000), 0), ("store_bytes", wide(0x18000), b""),
     ("load_bytes", wide(0x14000), 0), ("dma_read", 0x100, -1),
+    # Word runs up to each RAM region's top, over it into the BAR, and from
+    # the BAR's cached region.
+    ("store_words", wide(0xFFF0), 8, b"\x11" * 16, 0),
+    ("store_words", wide(0xFFF8), 8, b"\x22" * 16, 0),
+    ("load", CAP_POOL[1], 4, 0), ("store_words", wide(0x10000), 4, b"\x33" * 8, 0),
+    ("store_words", wide(0x1FFF0), 2, b"\x44" * 16, 0),
+    ("store_words", wide(0x1FFF8), 8, b"\x55" * 16, 0),
+    ("store_words", wide(0x100), 8, b"", -1),
 ]
 
 
@@ -767,6 +888,7 @@ ram_ops = st.one_of(
     st.tuples(st.just("load_bytes"), ram_caps, st.integers(0, 40)),
     st.tuples(st.just("store"), ram_caps, widths, st.integers(0, 255), offsets),
     st.tuples(st.just("load"), ram_caps, widths, offsets),
+    word_runs(ram_caps),
 )
 mmio_ops = st.one_of(
     st.tuples(st.just("store"), mmio_caps, widths, st.integers(0, 255), st.just(0)),
