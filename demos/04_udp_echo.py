@@ -31,7 +31,7 @@ def echo_run(mode, payloads, delay_ns=0.0):
     server = EchoServer(sut, loop)
     gen = LoadGenerator(peer, loop, payloads, SUT_ENDPOINT,
                         delay_ns=delay_ns, window=8)
-    wire_link(loop, link, {0: (sut, server), 1: (peer, gen)})
+    wire_link(loop, link, [server, gen])
     gen.start()
     loop.run()
     return sut, gen

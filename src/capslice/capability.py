@@ -264,11 +264,11 @@ def check_access(cap: Capability, width: int, need: int, offset: int = 0) -> Non
         raise CapFault(_BOUNDS_VIOLATION, cursor, _bounds_text, cursor, width, base, cap.length)
 
 
-def make_otype_authority(otype: int, perms: Perm = Perm.SEAL | Perm.UNSEAL) -> Capability:
+def make_otype_authority(otype: int) -> Capability:
     """Trusted-computing-base constructor for a sealing authority.
 
     Only trusted modules (the physical-space root issuer, the slicer, and
     the kernel interface) may call this; it is the software stand-in for
     the otype capabilities the kernel is born holding.
     """
-    return Capability(otype, 1, otype, perms, True)
+    return Capability(otype, 1, otype, Perm.SEAL | Perm.UNSEAL, True)

@@ -10,8 +10,9 @@ Subcommands:
                              and improvement.csv
 
 Exit codes: 0 all checks pass, 1 suite/validation failure, an unreadable
-manifest, or one the kernel refuses, 2 usage error (including a sweep grid
-or cost flag out of range, and a sweep whose clock reaches 2**53 ns).
+manifest, one the kernel refuses, or an `--out` that cannot be created or
+written, 2 usage error (including a sweep grid or cost flag out of range or
+repeated, and a sweep whose clock reaches 2**53 ns).
 """
 
 from __future__ import annotations
@@ -115,6 +116,19 @@ def _read_valid_manifest(path: Path) -> Manifest | None:
     return None if violations else m
 
 
+def _write_out(out: Path, name: str, text: str, note: str = "") -> bool:
+    """Write `out/name`, creating `out`; on an OSError, print why and return False."""
+    path = out / name
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as err:
+        print(f"error: {err.filename or path}: {err.strerror or err}", file=sys.stderr)
+        return False
+    print(f"wrote {path}{note}")
+    return True
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     m = _read_valid_manifest(args.manifest)
     if m is None:
@@ -152,10 +166,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
     report = harness.run_isolation_suite(bar_manifest)
     text = report.render()
     print(text, end="")
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "audit.txt").write_text(text, encoding="utf-8")
-        print(f"wrote {args.out / 'audit.txt'}")
+    if args.out is not None and not _write_out(args.out, "audit.txt", text):
+        return 1
     return 0 if report.passed else 1
 
 
@@ -170,6 +182,10 @@ def _sweep_usage_error(cfg: harness.SweepConfig) -> str | None:
         return f"--sizes must be payload sizes in 0..{MAX_PAYLOAD}"
     if not cfg.delays_us or any(d < 0 for d in cfg.delays_us):
         return "--delays must be non-negative"
+    for flag, values in (("--modes", cfg.modes), ("--sizes", cfg.packet_sizes),
+                         ("--delays", cfg.delays_us)):
+        if len(set(values)) != len(values):
+            return f"{flag} must not repeat a value"
     if cfg.window < 1:
         return "--window must be at least 1"
     costs = cfg.costs
@@ -185,23 +201,13 @@ def _sweep_usage_error(cfg: harness.SweepConfig) -> str | None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = harness.SweepConfig(costs=_costs_from(args))
-    if args.sizes is not None:
-        cfg.packet_sizes = args.sizes
-    if args.delays is not None:
-        cfg.delays_us = args.delays
-    if args.trials is not None:
-        cfg.trials = args.trials
-    if args.seed is not None:
-        cfg.seed = args.seed
+    flags = {"packet_sizes": args.sizes, "delays_us": args.delays, "trials": args.trials,
+             "seed": args.seed, "link_ns": args.link_ns,
+             "wire_ns_per_byte": args.wire_ns_per_byte, "window": args.window}
     if args.modes is not None:
-        cfg.modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    if args.link_ns is not None:
-        cfg.link_ns = args.link_ns
-    if args.wire_ns_per_byte is not None:
-        cfg.wire_ns_per_byte = args.wire_ns_per_byte
-    if args.window is not None:
-        cfg.window = args.window
+        flags["modes"] = tuple(m.strip() for m in args.modes.split(",") if m.strip())
+    cfg = harness.SweepConfig(costs=_costs_from(args),
+                              **{field: v for field, v in flags.items() if v is not None})
     problem = _sweep_usage_error(cfg)
     if problem is not None:
         print(f"capslice sweep: error: {problem}", file=sys.stderr)
@@ -216,13 +222,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except harness.ClockOverflow as err:
         print(f"capslice sweep: error: {err}", file=sys.stderr)
         return 2
-    args.out.mkdir(parents=True, exist_ok=True)
-    (args.out / "results.csv").write_text(harness.results_csv(result), encoding="utf-8")
-    print(f"wrote {args.out / 'results.csv'} ({len(result.cells)} cells)")
-    if result.improvements:
-        (args.out / "improvement.csv").write_text(harness.improvement_csv(result),
-                                                  encoding="utf-8")
-        print(f"wrote {args.out / 'improvement.csv'}")
+    if not _write_out(args.out, "results.csv", harness.results_csv(result),
+                      f" ({len(result.cells)} cells)"):
+        return 1
+    if result.improvements and not _write_out(args.out, "improvement.csv",
+                                              harness.improvement_csv(result)):
+        return 1
     for warning in result.flagged:
         print(f"warning: {warning}", file=sys.stderr)
     return 0

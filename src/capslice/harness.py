@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from . import slicer
 from .capability import CapFault, Capability, FaultKind, Perm, with_cursor
@@ -23,8 +23,7 @@ from .driver import Driver
 from .kernel import (ApiError, DESC_SIZE, DMA_LENGTH, DMA_MANIFEST, DMA_RX_RING, DMA_TX_BUFS,
                      DMA_TX_RING, Kernel, RING_SIZE)
 from .manifest import Manifest, PermClass, expand, parse
-from .netstack import (UDP_DPORT_AT, DecodeError, UdpEndpoint, carried_udp_checksum, decode_udp,
-                       echo_reply, encode_udp)
+from .netstack import UDP_DPORT_AT, UdpEndpoint, carried_udp_checksum, echo_reply, encode_udp
 from .nic import BAR_LENGTH, PRIVILEGED, REG_IMS, FrameLink, NicModel
 from .physmem import AccessCostTable, PhysSpace
 from .slicer import AUDIT_READ, AUDIT_WRITE, SliceTable, audit_reachability
@@ -160,9 +159,9 @@ class LoadGenerator:
     so replies match their requests even if intervening frames dropped.
 
     Each request in flight keeps the echo it expects, built by `encode_udp`
-    with the request's UDP checksum as `echo_reply` builds it. A reply equal
-    to it byte for byte is accepted without decoding; any other reply is
-    decoded and matched by port and payload, so the outcome is the same.
+    with the request's UDP checksum as `echo_reply` builds it. Only a reply
+    equal to it byte for byte is accepted, once; any other reply, a
+    duplicate included, is a mismatch.
     """
 
     MAX_TRIALS = 20000  # one source port per trial
@@ -230,30 +229,22 @@ class LoadGenerator:
         for frame in m.driver.poll_recv():
             # The destination port names the trial; byte equality checks the rest.
             k = int.from_bytes(frame[UDP_DPORT_AT:UDP_DPORT_AT + 2], "big") - m.endpoint.port
-            if expected.get(k) == frame:
-                del expected[k]
-            else:
-                try:
-                    _, dst_ep, payload = decode_udp(frame)
-                except DecodeError:
-                    self.mismatches += 1
-                    continue
-                k = dst_ep.port - m.endpoint.port
-                if not (0 <= k < self.next_to_send) or payload != self.payloads[k]:
-                    self.mismatches += 1
-                    continue
-                expected.pop(k, None)
+            if expected.get(k) != frame:
+                self.mismatches += 1
+                continue
+            del expected[k]
             self.rtts.append(m.space.clock - self.send_times[k])
             self.received += 1
         self._schedule_send()
 
 
 def wire_link(loop: EventLoop, link: FrameLink,
-              actors: dict[int, tuple[Machine, object]]) -> None:
-    """Route link transmissions into delivery events plus actor wakeups."""
+              actors: Sequence[EchoServer | LoadGenerator]) -> None:
+    """Route each transmission to the actor whose NIC holds its endpoint."""
+    by_endpoint = {a.machine.nic.link_endpoint: (a.machine, a) for a in actors}
 
     def on_transmit(dst: int, arrival: float, frame: bytes) -> None:
-        machine, actor = actors[dst]
+        machine, actor = by_endpoint[dst]
 
         def deliver(t: float) -> None:
             machine.nic.deliver_frame(machine.space, frame)
@@ -317,7 +308,7 @@ def run_cell(cfg: SweepConfig, size: int, delay_us: int, mode: str) -> CellResul
     echo = EchoServer(sut, loop)
     gen = LoadGenerator(peer, loop, payloads, SUT_ENDPOINT,
                         delay_ns=delay_us * 1000.0, window=cfg.window)
-    wire_link(loop, link, {0: (sut, echo), 1: (peer, gen)})
+    wire_link(loop, link, [echo, gen])
 
     kernel_calls_before = sut.kernel.invocations
     gen.start()

@@ -249,7 +249,7 @@ def run_echo_batch(mode: str, size: int, trials: int):
     rng = random.Random(f"echo:{mode}:{size}")
     payloads = [rng.randbytes(size) for _ in range(trials)]
     gen = LoadGenerator(peer, loop, payloads, SUT_ENDPOINT, delay_ns=0.0, window=32)
-    wire_link(loop, link, {0: (sut, echo), 1: (peer, gen)})
+    wire_link(loop, link, [echo, gen])
     gen.start()
     loop.run()
     return sut, peer, gen

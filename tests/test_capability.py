@@ -125,7 +125,7 @@ def test_seal_untagged_faults():
 
 
 def test_seal_without_permission_faults():
-    no_seal = make_otype_authority(7, perms=Perm.UNSEAL)
+    no_seal = restrict_perms(make_otype_authority(7), Perm.UNSEAL)
     with pytest.raises(CapFault) as err:
         seal(root(), no_seal)
     assert err.value.kind is FaultKind.PERMISSION_DENIED
@@ -441,7 +441,7 @@ def test_other_raisers_fault_texts_are_unchanged():
     space.add_region(0, 0x100)
     ram = authority.issue_root(0, 0x100, PERM_RW | Perm.LOAD_CAP)
     cases = [
-        (lambda: seal(root(), make_otype_authority(7, Perm.UNSEAL)),
+        (lambda: seal(root(), restrict_perms(a7, Perm.UNSEAL)),
          "PERMISSION_DENIED at 0x7: authority lacks SEAL"),
         (lambda: seal(root(), with_cursor(a7, 8)),
          "BOUNDS_VIOLATION at 0x8: otype outside authority bounds"),

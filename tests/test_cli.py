@@ -115,6 +115,9 @@ def test_sweep_rejects_bad_grid_before_any_cell_runs(tmp_path, capsys, monkeypat
         ["--sizes", "-1"],
         ["--sizes", ","],
         ["--delays", "-5"],
+        ["--sizes", "64,64"],
+        ["--delays", "0,0"],
+        ["--modes", "bypass,bypass"],
         ["--window", "0"],
         ["--syscall-ns", "-1"],
         ["--ram-ns", "nan"],
@@ -126,6 +129,22 @@ def test_sweep_rejects_bad_grid_before_any_cell_runs(tmp_path, capsys, monkeypat
         err = capsys.readouterr().err
         assert "error:" in err and flags[0] in err and "Traceback" not in err, flags
         assert not out.exists(), flags
+
+
+# An --out that names a file, or a path under one, cannot be a directory.
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("cmd", [["audit"], ["sweep", "--trials", "1", "--sizes", "1",
+                                             "--delays", "0", "--modes", "bypass"]],
+                         ids=["audit", "sweep"])
+def test_out_that_cannot_be_a_directory_exits_1(tmp_path, capsys, cmd, under):
+    existing = tmp_path / "existing"
+    existing.write_text("keep me\n")
+    out = existing / "sub" if under else existing
+    assert main([*cmd, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ") and err.count("\n") == 1  # one line
+    assert "Traceback" not in err
+    assert existing.read_text() == "keep me\n"
 
 
 def test_sweep_accepts_grid_edges(tmp_path):

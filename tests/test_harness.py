@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 from conftest import capture
 
-from capslice import harness, kernel, physmem
+from capslice import harness, kernel, netstack, physmem
 from capslice.harness import (
     MODE_BYPASS,
     MODE_MEDIATED,
@@ -19,7 +19,7 @@ from capslice.harness import (
 )
 from capslice.kernel import ApiError, ErrCode
 from capslice.manifest import PermClass, parse
-from capslice.netstack import MAX_PAYLOAD, DecodeError, Reject, echo_reply, ones_complement_sum
+from capslice.netstack import MAX_PAYLOAD, echo_reply, ones_complement_sum
 from capslice.nic import FrameLink
 from capslice.physmem import AccessCostTable
 
@@ -235,10 +235,6 @@ def test_cell_frees_its_machines_without_a_cycle_collection():
     assert unreachable == {MODE_BYPASS: 0, MODE_MEDIATED: 0}
 
 
-class _NotADecodeError(Exception):
-    pass
-
-
 def _echo_rewritten(monkeypatch, rewrite):
     """Make the echo server send `rewrite(reply)` instead of its reply."""
     echo = harness.echo_reply
@@ -255,18 +251,6 @@ def _with_ttl(frame, ttl):
     ip[10:12] = bytes(2)
     ip[10:12] = ((~ones_complement_sum(bytes(ip))) & 0xFFFF).to_bytes(2, "big")
     return frame[:14] + bytes(ip) + frame[34:]
-
-
-def _count_decodes(monkeypatch):
-    calls = []
-    decode = harness.decode_udp
-
-    def counted(frame):
-        calls.append(None)
-        return decode(frame)
-
-    monkeypatch.setattr(harness, "decode_udp", counted)
-    return calls
 
 
 def _record_generators(monkeypatch):
@@ -297,42 +281,71 @@ def test_expected_echo_equals_the_servers_reply():
 
 
 def test_byte_equal_echoes_skip_the_decoder(monkeypatch):
-    calls = _count_decodes(monkeypatch)
+    calls = []
+    decode = netstack.decode_udp
+
+    def counted(frame):
+        calls.append(None)
+        return decode(frame)
+
+    monkeypatch.setattr(netstack, "decode_udp", counted)
     made = _record_generators(monkeypatch)
     cell = run_cell(small_cfg(trials=20), 64, 0, MODE_BYPASS)
-    assert cell.drops == 0 and calls == []
+    # One decode per request, the server's; the generator compares bytes.
+    assert cell.drops == 0 and len(calls) == 20
     assert made[0]._expected == {}  # each expected echo is dropped once accepted
 
 
 @pytest.mark.parametrize("mode", [MODE_BYPASS, MODE_MEDIATED])
-def test_a_valid_echo_with_another_ttl_is_accepted_by_decoding(monkeypatch, mode):
-    cfg = small_cfg(delays_us=(0, 1000), trials=20)
-    plain = [run_cell(cfg, 64, delay, mode) for delay in (0, 1000)]
+def test_a_valid_echo_with_another_ttl_is_a_mismatch(monkeypatch, mode):
     _echo_rewritten(monkeypatch, lambda reply: _with_ttl(reply, 63))
-    calls = _count_decodes(monkeypatch)
+    for delay in (0, 1000):
+        with pytest.raises(RuntimeError, match=f"^20 corrupted echoes in {mode}/64/{delay}$"):
+            run_cell(small_cfg(trials=20), 64, delay, mode)
+
+
+@pytest.mark.parametrize("mode", [MODE_BYPASS, MODE_MEDIATED])
+def test_a_duplicate_echo_is_a_mismatch(monkeypatch, mode):
+    init = harness.EchoServer.__init__
+
+    def sends_twice(self, *args):
+        init(self, *args)
+        send = self._send
+
+        def twice(frame):
+            send(frame)
+            send(frame)
+
+        self._send = twice
+
+    monkeypatch.setattr(harness.EchoServer, "__init__", sends_twice)
     made = _record_generators(monkeypatch)
-    rewritten = [run_cell(cfg, 64, delay, mode) for delay in (0, 1000)]
-    assert rewritten == plain
-    assert len(calls) == 2 * 20
-    assert [gen._expected for gen in made] == [{}, {}]
+    for delay in (0, 1000):
+        with pytest.raises(RuntimeError, match=f"^20 corrupted echoes in {mode}/64/{delay}$"):
+            run_cell(small_cfg(trials=20), 64, delay, mode)
+    # Each trial's first copy is accepted and its second is refused.
+    assert [(g.received, g.mismatches, len(g.rtts)) for g in made] == [(20, 20, 20)] * 2
+
+
+@pytest.mark.parametrize("mode", [MODE_BYPASS, MODE_MEDIATED])
+def test_the_link_routes_by_endpoint_when_the_peer_is_built_first(mode):
+    link = FrameLink()
+    peer = harness.build_machine("peer", MODE_BYPASS, harness.PEER_ENDPOINT, link=link)
+    sut = harness.build_machine("sut", mode, harness.SUT_ENDPOINT, link=link)
+    assert (peer.nic.link_endpoint, sut.nic.link_endpoint) == (0, 1)
+    loop = harness.EventLoop()
+    payloads = [bytes([k]) * 64 for k in range(4)]
+    gen = harness.LoadGenerator(peer, loop, payloads, harness.SUT_ENDPOINT,
+                                delay_ns=0.0, window=4)
+    harness.wire_link(loop, link, [harness.EchoServer(sut, loop), gen])
+    gen.start()
+    loop.run()
+    assert (gen.received, gen.mismatches, len(gen.rtts), gen._expected) == (4, 0, 4, {})
 
 
 def test_drain_counts_only_decode_errors_as_mismatches(monkeypatch):
-    def reject(frame):
-        raise DecodeError(Reject.UDP_CHECKSUM)
-
-    # A reply that is not the expected echo byte for byte goes to the decoder.
+    # A reply that differs from the expected echo in one payload byte is a
+    # mismatch; the generator does not decode it.
     _echo_rewritten(monkeypatch, _flip_last_byte)
-    monkeypatch.setattr(harness, "decode_udp", reject)
     with pytest.raises(RuntimeError, match="5 corrupted echoes"):
-        run_cell(small_cfg(trials=5), 64, 0, MODE_BYPASS)
-
-
-def test_drain_propagates_other_errors(monkeypatch):
-    def broken(frame):
-        raise _NotADecodeError("decoder bug")
-
-    _echo_rewritten(monkeypatch, _flip_last_byte)
-    monkeypatch.setattr(harness, "decode_udp", broken)
-    with pytest.raises(_NotADecodeError, match="decoder bug"):
         run_cell(small_cfg(trials=5), 64, 0, MODE_BYPASS)
