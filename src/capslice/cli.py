@@ -1,24 +1,25 @@
 """Command-line front end.
 
 Subcommands:
-    validate <manifest>      parse + validate, list every violation; then the
-                             kernel's attach check against the device (its
-                             `device` line, the BAR length, kernel-only registers)
+    validate <manifest>      parse, then list every violation of the kernel's one
+                             admission rule: shape, then the device (`device`
+                             line, BAR length, kernel-only registers, doorbells)
     slice-dump <manifest>    print the slice table the manifest carves
     audit                    run the isolation suite, write audit.txt
     sweep                    run the latency sweep, write results.csv
                              and improvement.csv
 
 Exit codes: 0 all checks pass, 1 suite/validation failure, an unreadable
-manifest, one the kernel refuses, or an `--out` that cannot be created or
-written, 2 usage error (including a sweep grid or cost flag out of range or
-repeated, and a sweep whose clock reaches 2**53 ns).
+manifest, one the kernel refuses, or an `--out` that cannot be a directory
+(checked before any work) or written, 2 usage error (including a sweep grid
+or cost flag out of range or repeated, and a sweep whose clock reaches 2**53 ns).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -104,16 +105,13 @@ def _read_manifest(path: Path) -> Manifest | None:
         return None
 
 
-def _read_valid_manifest(path: Path) -> Manifest | None:
-    """Parse and validate one manifest. On any problem, print it and return
-    None."""
-    m = _read_manifest(path)
-    if m is None:
-        return None
-    violations = validate(m)
-    for v in violations:
-        print(f"violation: {v}")
-    return None if violations else m
+def _refuse_out(out: Path) -> bool:
+    """Whether `out` cannot be a directory, after one `error:` line. Creates nothing."""
+    first = next((p for p in (out, *out.parents) if os.path.exists(p)), out)
+    if os.path.isdir(first):
+        return False
+    print(f"error: {out}: {first} is not a directory", file=sys.stderr)
+    return True
 
 
 def _write_out(out: Path, name: str, text: str, note: str = "") -> bool:
@@ -130,7 +128,7 @@ def _write_out(out: Path, name: str, text: str, note: str = "") -> bool:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    m = _read_valid_manifest(args.manifest)
+    m = _read_manifest(args.manifest)
     if m is None:
         return 1
     problems = device_truth_violations(m)
@@ -144,8 +142,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_slice_dump(args: argparse.Namespace) -> int:
-    m = _read_valid_manifest(args.manifest)
+    m = _read_manifest(args.manifest)
     if m is None:
+        return 1
+    violations = validate(m)
+    for v in violations:
+        print(f"violation: {v}")
+    if violations:
         return 1
     try:
         table = harness.slice_standalone(m)
@@ -163,6 +166,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
         bar_manifest = _read_manifest(args.manifest)
         if bar_manifest is None:
             return 1
+    if args.out is not None and _refuse_out(args.out):
+        return 1
     report = harness.run_isolation_suite(bar_manifest)
     text = report.render()
     print(text, end="")
@@ -216,6 +221,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cfg.bar_manifest = _read_manifest(args.manifest)
         if cfg.bar_manifest is None:
             return 1
+    if _refuse_out(args.out):
+        return 1
 
     try:
         result = harness.run_sweep(cfg)

@@ -495,7 +495,7 @@ def run_isolation_suite(bar_manifest: Optional[Manifest] = None) -> IsolationRep
 
     # (b) Offsetting from the first writable register slice (CTRL in the
     # shipped manifest) into the kernel-only interrupt mask must fault on
-    # bounds. The driver needs a writable TDT, so there is one.
+    # bounds. The kernel admits no manifest without a read-write TDT, so there is one.
     source = next(cap for _, cap in m.table if cap.perms & Perm.WRITE)
     ims = m.kernel.mmio_root.base + REG_IMS
     try:

@@ -234,23 +234,31 @@ class Rings:
 
 
 def device_truth_violations(bar_manifest: Manifest) -> list[str]:
-    """Where a BAR manifest disagrees with the e1000e device, one line each.
-
-    It must name the device (`nic.DEVICE_NAME`), fit the BAR and grant no
-    byte of a kernel-only register (`nic.PRIVILEGED`). `stub_attach`
-    refuses a manifest with any violation; `capslice validate` lists them."""
-    problems: list[str] = []
+    """The one admission rule: every reason the kernel refuses a BAR manifest,
+    `validate()`'s problems alone if it has any. It must then name the device
+    (`nic.DEVICE_NAME`), fit the BAR, grant no byte of a kernel-only register
+    (`nic.PRIVILEGED`), and grant read-write TDT and RDT of 4+ bytes at the
+    device's own registers: the doorbells the bypass driver rings."""
+    problems = validate(bar_manifest)
+    if problems:
+        return problems
     if bar_manifest.device_name != DEVICE_NAME:
         problems.append(f"BAR manifest is for device {bar_manifest.device_name!r},"
                         f" the device is {DEVICE_NAME!r}")
     if bar_manifest.bar_length > BAR_LENGTH:
         problems.append(f"BAR manifest covers {bar_manifest.bar_length:#x},"
                         f" the BAR is {BAR_LENGTH:#x}")
+    granted = {}
     for r in expand(bar_manifest):
+        granted[r.name] = r
         for off in PRIVILEGED:
             if r.offset < off + 4 and off < r.offset + r.size:
                 problems.append(f"BAR manifest grants {r.name}, which covers the"
                                 f" kernel-only register at {off:#x}")
+    for name, off in (("TDT", REG_TDT), ("RDT", REG_RDT)):
+        r = granted.get(name)  # the last, as in the slice table's `index_map()`
+        if r is None or r.offset != off or r.size < 4 or r.perm is not PermClass.RW:
+            problems.append(f"BAR manifest grants no read-write {name} of 4+ bytes at {off:#x}")
     return problems
 
 
@@ -306,12 +314,11 @@ class Kernel:
         rings, enable TX/RX, and register the BAR manifest with the interface.
         The constructor calls it; a second call is refused as busy.
 
-        A BAR manifest that fails `validate()`, names another device or would
-        hand userspace a kernel-only register byte is refused before anything
-        is issued. The DMA region is carved by `DMA_MANIFEST`."""
+        A BAR manifest with any `device_truth_violations` is refused before
+        anything is issued. The DMA region is carved by `DMA_MANIFEST`."""
         if hasattr(self, "mmio_root"):
             raise ApiError(ErrCode.BUSY, f"{DEVICE_NAME} already attached")
-        problems = validate(bar_manifest) or device_truth_violations(bar_manifest)
+        problems = device_truth_violations(bar_manifest)
         if problems:
             raise ApiError(ErrCode.BAD_ARGUMENT, problems[0])
 

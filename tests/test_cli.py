@@ -136,7 +136,9 @@ def test_sweep_rejects_bad_grid_before_any_cell_runs(tmp_path, capsys, monkeypat
 @pytest.mark.parametrize("cmd", [["audit"], ["sweep", "--trials", "1", "--sizes", "1",
                                              "--delays", "0", "--modes", "bypass"]],
                          ids=["audit", "sweep"])
-def test_out_that_cannot_be_a_directory_exits_1(tmp_path, capsys, cmd, under):
+def test_out_that_cannot_be_a_directory_exits_1(tmp_path, capsys, monkeypatch, cmd, under):
+    if cmd[0] == "sweep":
+        _no_cell_may_run(monkeypatch)  # refused before the grid runs
     existing = tmp_path / "existing"
     existing.write_text("keep me\n")
     out = existing / "sub" if under else existing
@@ -212,10 +214,14 @@ def test_manifest_that_grants_kernel_bytes_exits_1(tmp_path, capsys):
 
 
 def test_validate_checks_device_truth(tmp_path, capsys):
+    assert main(["validate", str(DATA / "e1000e.manifest")]) == 0
+    assert capsys.readouterr().out.startswith(f"{DATA / 'e1000e.manifest'}: ok")
+    # The example is a slicing example: it grants no RX doorbell, so the
+    # kernel does not admit it.
+    assert main(["validate", str(DATA / "e1000e-example.manifest")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "violation: BAR manifest grants no read-write RDT of 4+ bytes at 0x2818"]
     # Shape alone passes these; the e1000e device does not.
-    for name in ("e1000e.manifest", "e1000e-example.manifest"):
-        assert main(["validate", str(DATA / name)]) == 0, name
-        assert capsys.readouterr().out.startswith(f"{DATA / name}: ok"), name
     cases = [
         ("e1000e.manifest", r"^(reg TDBAL .*)KERNEL", r"\1RW", "TDBAL"),
         ("e1000e.manifest", r"^(reg ICR .*)KERNEL", r"\1RO", "ICR"),
@@ -234,12 +240,15 @@ def test_validate_checks_device_truth(tmp_path, capsys):
 
 def test_bar_manifest_the_stub_or_driver_cannot_use_exits_1(tmp_path, capsys):
     # A short BAR, a register outside its BAR, two overlapping registers
-    # (STATUS would be writable through CTRL) and a read-only TX tail.
+    # (STATUS would be writable through CTRL), a read-only TX tail, no RX
+    # tail, a TX tail at another register's offset and a 2-byte TX tail.
     shipped = (DATA / "e1000e.manifest").read_text()
     overlap, n = re.subn(r"^reg CTRL   0x0000 4 RW(.*)\nreg STATUS 0x0008",
                          r"reg CTRL   0x0000 8 RW\1\nreg STATUS 0x0004", shipped, flags=re.M)
     assert n == 1
     tdt_ro, n = re.subn(r"^(reg TDT .*)RW", r"\1RO", shipped, flags=re.M)
+    assert n == 1
+    no_rdt, n = re.subn(r"^reg RDT .*\n", "", shipped, flags=re.M)
     assert n == 1
     cases = {
         "short-bar": ("device e1000e\nbar 0x100\nreg CTRL 0x0 4 RW\n", "TDT"),
@@ -248,10 +257,21 @@ def test_bar_manifest_the_stub_or_driver_cannot_use_exits_1(tmp_path, capsys):
         "overlap": (overlap, "CTRL and STATUS overlap"),
         "tdt-read-only": (tdt_ro, "TDT"),
         "other-device": (shipped.replace("device e1000e", "device virtio", 1), "virtio"),
+        "no-rdt": (no_rdt, "RDT"),
+        "tdt-elsewhere": ("device e1000e\nbar 0x20000\nreg CTRL 0x0 4 RO\n"
+                          "reg TDT 0x0004 4 RW\nreg RDT 0x2818 4 RW\n", "TDT"),
+        "tdt-short": ("device e1000e\nbar 0x20000\nreg RDT 0x2818 4 RW\n"
+                      "reg TDT 0x3818 2 RW\n", "TDT"),
     }
     for label, (text, detail) in cases.items():
         path = tmp_path / f"{label}.manifest"
         path.write_text(text)
+        # `validate` exits 1 on exactly what bring-up refuses.
+        assert main(["validate", str(path)]) == 1, label
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines and all(line.startswith("violation: ") for line in lines), label
+        assert any(detail in line for line in lines) and not captured.err, label
         for cmd in (["sweep", "--trials", "1", "--sizes", "1", "--delays", "0"], ["audit"]):
             out = tmp_path / "out"
             argv = [*cmd, "--manifest", str(path), "--out", str(out)]

@@ -157,14 +157,34 @@ def test_stub_refuses_a_bar_manifest_for_another_device():
 
 AUDITED = 0x4000  # every register lies below 0x3818 + 4
 
+DOORBELLS = (("TDT", REG_TDT), ("RDT", REG_RDT))
+DOORBELL_FAULTS = ("offset", "read-only", "short", "missing")
+
 
 @st.composite
 def bar_manifests(draw, max_entries=5):
     # Random ranges, some on or next to a kernel-only register, some at or
     # past the end of the BAR, with any class and optional repeats. Sound
     # shapes are drawn more often than broken ones, so that a good share of
-    # the manifests is accepted and audited.
+    # the manifests is accepted and audited. Six draws in seven grant both
+    # doorbells as the device has them; the rest break one of them in one
+    # way. A BAR longer than the device's is drawn one time in eleven, so the
+    # admitted share stays near what it was before doorbells were drawn.
+    fault = draw(st.sampled_from((None,) * 24 + DOORBELL_FAULTS))
+    broken = draw(st.sampled_from(DOORBELLS))
     entries = []
+    for name, offset in DOORBELLS:
+        size, perm = 4, PermClass.RW
+        if fault and (name, offset) == broken:
+            if fault == "missing":
+                continue
+            if fault == "offset":
+                offset = draw(st.integers(0, AUDITED - 4).filter(lambda o, at=offset: o != at))
+            elif fault == "read-only":
+                perm = PermClass.RO
+            else:
+                size = draw(st.integers(1, 3))
+        entries.append(SliceEntry(name, offset, size, perm))
     for i in range(draw(st.integers(1, max_entries))):
         where = draw(st.sampled_from(("free",) * 4 + ("privileged", "bar-end")))
         if where == "free":
@@ -180,7 +200,7 @@ def bar_manifests(draw, max_entries=5):
             repeat = Repeat(draw(st.integers(1, 4)), stride)
         entries.append(SliceEntry(f"R{i}", offset, size, draw(st.sampled_from(PermClass)),
                                   repeat))
-    bar = draw(st.sampled_from((BAR_LENGTH,) * 3 + (AUDITED, BAR_LENGTH + 0x1000)))
+    bar = draw(st.sampled_from((BAR_LENGTH,) * 9 + (AUDITED, BAR_LENGTH + 0x1000)))
     return Manifest("e1000e", bar, tuple(entries))
 
 
@@ -227,18 +247,41 @@ def test_hostile_policy_exhaustive_audit(m):
 
 
 def test_stub_programs_the_whole_bar_under_a_short_manifest():
-    # The ring registers lie far above a 0x100-byte manifest; the stub's
-    # root spans the device's BAR, so bring-up and the socket path work.
-    short = parse("device e1000e\nbar 0x100\nreg CTRL 0x0 4 RW\n")
-    m = build_machine("kern", "mediated", SUT_ENDPOINT, link=FrameLink(), bar_manifest=short)
-    kern = m.kernel
-    assert kern.mmio_root.length == BAR_LENGTH
-    assert mmio_read(m, kern, REG_RDT) == RING_SIZE - 1
-    m.driver.mediated_send(b"x" * 60)
-    assert m.nic.counters.tx_frames == 1
-    with pytest.raises(ApiError) as err:
-        build_machine("kern", "bypass", SUT_ENDPOINT, bar_manifest=short)
-    assert err.value.code is ErrCode.BAD_ARGUMENT and "TDT" in err.value.detail
+    # The manifest ends at TDT's last byte, short of the device's BAR; the
+    # stub's root spans the whole BAR, so bring-up and both paths work.
+    short = parse("device e1000e\nbar 0x381c\nreg CTRL 0x0 4 RW\n"
+                  "reg RDT 0x2818 4 RW\nreg TDT 0x3818 4 RW\n")
+    assert short.bar_length < BAR_LENGTH
+    for mode in ("mediated", "bypass"):
+        m = build_machine("kern", mode, SUT_ENDPOINT, link=FrameLink(), bar_manifest=short)
+        kern = m.kernel
+        assert kern.mmio_root.length == BAR_LENGTH
+        assert mmio_read(m, kern, REG_RDT) == RING_SIZE - 1
+        (m.driver.send if mode == "bypass" else m.driver.mediated_send)(b"x" * 60)
+        assert m.nic.counters.tx_frames == 1, mode
+
+
+@settings(deadline=None, max_examples=400)
+@given(m=bar_manifests())
+def test_admission_is_exactly_a_working_bypass_machine(m):
+    # The one admission rule admits a manifest exactly when a bypass machine
+    # builds under it, and that machine rings both doorbells on the device.
+    admitted = not kernelmod.device_truth_violations(m)
+    link = FrameLink()
+    got = capture(link)
+    try:
+        sut = build_machine("sut", "bypass", SUT_ENDPOINT, link=link, bar_manifest=m)
+    except ApiError as err:
+        assert not admitted and err.code is ErrCode.BAD_ARGUMENT
+        return
+    assert admitted
+    frame = b"x" * 60
+    sut.driver.send(frame)
+    assert sut.nic.counters.tx_frames == 1 and [f for _, f in got[1]] == [frame]
+    assert sut.nic.regs[REG_RDT] == RING_SIZE - 1
+    assert sut.nic.deliver_frame(sut.space, frame)
+    assert sut.driver.poll_recv() == [frame]
+    assert sut.nic.regs[REG_RDT] == 0  # one descriptor handed back
 
 
 def test_api_errors_survive_pickling():
