@@ -2,9 +2,12 @@
 
 A capability is a bounded, permissioned, tagged reference. Every memory
 access in this package funnels through :func:`check_access`, which is the
-single enforcement chokepoint. Illegal *derivation* silently clears the
-tag (as the hardware does); illegal *dereference* raises :class:`CapFault`
-(the software analogue of SIGPROT).
+single enforcement chokepoint, and so does every other decision on what a
+capability grants: the slicer's root, the kernel's descriptor-buffer
+ioctl and the reachability audit each make one call over the whole range
+they need. Illegal *derivation* silently clears the tag (as the hardware
+does); illegal *dereference* raises :class:`CapFault` (the software
+analogue of SIGPROT).
 
 ``Capability.perms`` is a plain ``int`` mask. :class:`Perm` stays the type
 at the API edge (constructors, :func:`restrict_perms`, ``has``) and its

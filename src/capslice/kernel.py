@@ -29,10 +29,13 @@ from typing import Optional
 
 from . import slicer
 from .capability import (
+    READ_MASK,
+    WRITE_MASK,
     CapFault,
     Capability,
     Perm,
     PERM_RW,
+    check_access,
     derive_bounds,
     make_otype_authority,
     restrict_perms,
@@ -411,11 +414,11 @@ class Kernel:
                             buf: Capability) -> None:
         """Privileged write of a descriptor's address field.
 
-        The buffer capability must be tagged, unsealed, readable, writable
-        too for an RX descriptor (the NIC writes received frames into it),
-        cover at least the `BUF_SIZE` bytes the NIC may DMA from its base, and
-        lie entirely inside the caller's DMA buffer region; anything else is
-        denied with the descriptor untouched.
+        The buffer capability must pass one `check_access` over the
+        `BUF_SIZE` bytes the NIC may DMA from its base, needing READ, and
+        WRITE too for an RX descriptor (the NIC writes received frames into
+        it), and must lie entirely inside the caller's DMA buffer region;
+        anything else is denied with the descriptor untouched.
         """
         self.invocations += 1
         self._verify_token(token)
@@ -423,17 +426,11 @@ class Kernel:
             raise ApiError(ErrCode.BAD_ARGUMENT, f"queue {queue!r}")
         if not 0 <= index < RING_SIZE:
             raise ApiError(ErrCode.BAD_ARGUMENT, f"descriptor index {index}")
-        if not buf.tag:
-            raise ApiError(ErrCode.DENIED, "buffer capability is untagged")
-        if buf.sealed:
-            raise ApiError(ErrCode.DENIED, "buffer capability is sealed")
-        if not buf.has(Perm.READ):
-            raise ApiError(ErrCode.DENIED, "buffer capability lacks READ")
-        if queue == "rx" and not buf.has(Perm.WRITE):
-            raise ApiError(ErrCode.DENIED, "buffer capability lacks WRITE")
-        if buf.length < BUF_SIZE:
-            raise ApiError(ErrCode.DENIED, f"buffer capability covers {buf.length} bytes,"
-                                           f" the NIC may DMA {BUF_SIZE}")
+        need = READ_MASK if queue == "tx" else READ_MASK | WRITE_MASK
+        try:
+            check_access(buf, BUF_SIZE, need, buf.base - buf.cursor)
+        except CapFault as fault:
+            raise ApiError(ErrCode.DENIED, f"buffer capability: {fault}") from None
         dma_root = self.dma_root
         if not (dma_root.base + DMA_TX_BUFS <= buf.base and buf.top <= dma_root.top):
             raise ApiError(ErrCode.DENIED, "buffer outside the DMA buffer region")

@@ -12,6 +12,7 @@ Register offsets beyond CTRL/STATUS/IMS/TDT follow the public Intel
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -91,6 +92,10 @@ class FrameLink:
     """
 
     def __init__(self, delay_ns: float = 1000.0, wire_ns_per_byte: float = 8.0):
+        # A negative charge would deliver a frame before it was sent.
+        for name, value in (("delay_ns", delay_ns), ("wire_ns_per_byte", wire_ns_per_byte)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
         self.delay_ns = delay_ns
         self.wire_ns_per_byte = wire_ns_per_byte
         self._attached = 0
@@ -159,8 +164,6 @@ class NicModel:
         if width != 4 or offset % 4 != 0:
             return
         # `PhysSpace.store` refuses a value wider than the store, so it fits.
-        if offset == REG_STATUS or offset == REG_ICR:
-            return  # read-only at device level
         if offset == REG_IMS:
             self.regs[REG_IMS] |= value
             return

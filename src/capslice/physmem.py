@@ -122,12 +122,15 @@ class PhysSpace:
                 raise ValueError(f"region overlaps existing {r.name or hex(r.base)}")
         region = Region(base, length, device, name)
         self.regions.append(region)
-        self.regions.sort(key=lambda r: r.base)
+        # RAM before devices, each by base: see region_for.
+        self.regions.sort(key=lambda r: (r.device is not None, r.base))
         return region
 
     def region_for(self, addr: int, width: int) -> Region:
-        """The one region holding [addr, addr + width); it becomes the cached
-        RAM or device region."""
+        """The region holding [addr, addr + width); it becomes the cached RAM
+        or device region. Only an empty range at the seam of two regions lies
+        in both, and it resolves to RAM, as a bulk copy, DMA or capability
+        access needs: the regions are kept with RAM first."""
         for r in self.regions:
             if r.base <= addr and addr + width <= r.base + r.length:
                 if r.device is None:
@@ -138,17 +141,10 @@ class PhysSpace:
         raise ValueError(f"access [{addr:#x},{addr + width:#x}) maps to no single region")
 
     def _find_ram(self, addr: int, count: int, refusal: str) -> None:
-        """Cache the RAM region holding [addr, addr + count), or raise.
-
-        A bulk copy, DMA or capability access is RAM-only, so an empty range
-        at the seam of a device and a RAM region is RAM, whichever of the two
-        comes first."""
-        for r in self.regions:
-            if r.device is None and r.base <= addr and addr + count <= r.base + r.length:
-                self._ram_lo, self._ram_hi = r.base, r.base + r.length
-                return
-        self.region_for(addr, count)  # no single region at all is its own error
-        raise ValueError(refusal)
+        """Cache the RAM region holding [addr, addr + count), or raise: a bulk
+        copy, DMA or capability access is RAM-only."""
+        if self.region_for(addr, count).device is not None:
+            raise ValueError(refusal)
 
     # -- clock -----------------------------------------------------------
 

@@ -83,15 +83,8 @@ class SliceTable:
 
 def slice(root: Capability, m: Manifest) -> SliceTable:
     """Carve the aperture under `root` according to the manifest."""
-    if not root.tag:
-        raise CapFault(FaultKind.TAG_INVALID, root.cursor, "untagged root")
-    if root.sealed:
-        raise CapFault(FaultKind.SEAL_VIOLATION, root.cursor, "sealed root")
-    if (root.perms & _RW_MASK) != _RW_MASK:
-        raise CapFault(FaultKind.PERMISSION_DENIED, root.cursor, "root must be RW")
-    if root.length < m.bar_length:
-        raise CapFault(FaultKind.BOUNDS_VIOLATION, root.cursor,
-                       f"root covers {root.length:#x} < bar {m.bar_length:#x}")
+    # The root must grant read-write over the whole BAR from its base.
+    check_access(root, m.bar_length, _RW_MASK, root.base - root.cursor)
 
     # One permission-restricted root per class, then one derivation per
     # range: the same values as restricting each derived slice. Expansion
@@ -132,11 +125,11 @@ def audit_reachability(table: SliceTable, bar_length: int,
 
     With exhaustive=False (default) each slice contributes at most one run
     per permission: its bounds clipped to the aperture, skipped if the clip
-    is empty, and kept only if a `with_cursor` copy of the slice passes
-    check_access at both ends of the run. Two ends confirm every byte
-    between them: at width 1 the tag, seal and permission tests do not
-    depend on the cursor, and the bounds test accepts exactly the cursors
-    in [base, top), so the cursors that pass form one interval. The work is
+    is empty, and kept only if a `with_cursor` copy of the slice at the
+    run's start passes one check_access over the whole run. That one check
+    passes exactly when every byte of the run passes at width 1: the tag,
+    seal and permission tests do not depend on the cursor, and the bounds
+    test accepts exactly the accesses inside [base, top). The work is
     O(slices) checks, and the bits are ORed into the result in C.
     exhaustive=True attempts every slice at every byte regardless, for
     cross-validating the fast path. It probes by immediate offset from each
@@ -172,19 +165,15 @@ def audit_reachability(table: SliceTable, bar_length: int,
         hi = lo + cap.length
         if hi <= base or lo >= top:  # most slices lie outside the aperture
             continue
-        if not cap.tag or cap.sealed:
-            continue
         if lo < base:
             lo = base
         if hi > top:
             hi = top
-        # An empty slice inside the aperture (lo >= hi) faults at lo.
         for need, or_bit in _AUDIT_RUNS:
             if not cap.has(need):
                 continue
-            try:
-                check_access(with_cursor(cap, lo), 1, need)
-                check_access(with_cursor(cap, hi - 1), 1, need)
+            try:  # an empty run passes and marks nothing
+                check_access(with_cursor(cap, lo), hi - lo, need)
             except CapFault:
                 continue
             a, b = lo - base, hi - base

@@ -344,13 +344,18 @@ def test_load_store_offset_match_with_cursor(cap, offset, width, value, fill):
                      otype=st.one_of(st.just(UNSEALED), st.integers(0, UNSEALED))),
        lo=st.integers(-0x20, 0xE0), span=st.integers(0, 0x80), need=needs)
 def test_width_one_access_passes_on_one_interval_of_cursors(cap, lo, span, need):
-    # audit_reachability's fast path confirms a slice's run by its two end
-    # bytes; that is sound only if the passing cursors form exactly this run.
+    # audit_reachability's fast path confirms a slice's run [lo, hi) by one
+    # check_access over the whole run; that is sound only if the passing
+    # cursors form exactly this run, and the one check passes exactly when
+    # every byte of a non-empty run does.
     hi = lo + span
     passing = [x for x in range(lo, hi)
                if _outcome(check_access, with_cursor(cap, x), 1, need)[0] == "ok"]
     live = cap.tag and not cap.sealed and cap.has(need)
     assert passing == (list(range(max(cap.base, lo), min(cap.top, hi))) if live else [])
+    if span:
+        whole = _outcome(check_access, with_cursor(cap, lo), span, need)[0] == "ok"
+        assert whole == (len(passing) == span)
 
 
 # -- int permission masks ------------------------------------------------------------
@@ -434,8 +439,9 @@ def test_fault_texts_are_unchanged():
 
 
 def test_other_raisers_fault_texts_are_unchanged():
-    # seal/unseal, slicer.slice and physmem's alignment checks raise
-    # plain-text faults; recorded like the cases above.
+    # seal/unseal and physmem's alignment checks raise plain-text faults,
+    # and slicer.slice the fault of its one check_access on the root;
+    # recorded like the cases above.
     a7 = make_otype_authority(7)
     space, authority = PhysSpace.create(0x100)
     space.add_region(0, 0x100)
@@ -449,7 +455,7 @@ def test_other_raisers_fault_texts_are_unchanged():
         (lambda: unseal(seal(root(), a7), make_otype_authority(8)),
          "WRONG_OTYPE at 0x0: sealed with otype 7, authority selects 8"),
         (lambda: slicer.slice(derive_bounds(root(), 0, 0x10), parse("device x\nbar 0x100\n")),
-         "BOUNDS_VIOLATION at 0x0: root covers 0x10 < bar 0x100"),
+         "BOUNDS_VIOLATION at 0x0: access [0x0,0x100) outside [0x0,0x10)"),
         (lambda: space.load(ram, 3), "ALIGNMENT_FAULT at 0x0: bad access width 3"),
         (lambda: space.cap_load(with_cursor(ram, 4)),
          "ALIGNMENT_FAULT at 0x4: capability load needs 16-byte alignment"),

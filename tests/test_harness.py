@@ -1,4 +1,5 @@
 import gc
+import math
 from dataclasses import replace
 
 import pytest
@@ -278,6 +279,15 @@ def test_expected_echo_equals_the_servers_reply():
     requests = [frame for _, frame in got[1]]
     assert [len(f) - 42 for f in requests] == [0, 1, 1471, 1472]
     assert [gen._expected[k] for k in range(4)] == [echo_reply(f) for f in requests]
+
+
+@pytest.mark.parametrize("bad", [{"link_ns": -5000.0}, {"wire_ns_per_byte": math.nan},
+                                 {"window": 0}])
+def test_sweep_refuses_a_bad_link_or_window_before_any_row(bad):
+    # A negative link delivers frames before they are sent, and no window
+    # sends nothing; the library refuses both, not only the CLI.
+    with pytest.raises(ValueError):
+        run_sweep(small_cfg(trials=5, **bad))
 
 
 def test_byte_equal_echoes_skip_the_decoder(monkeypatch):

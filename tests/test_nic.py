@@ -1,3 +1,4 @@
+import math
 import random
 import struct
 
@@ -330,3 +331,11 @@ def test_link_rejects_jumbo_frames():
     src = link.attach()
     with pytest.raises(ValueError):
         link.transmit(src, bytes(1519), now=0.0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("field", ["delay_ns", "wire_ns_per_byte"])
+def test_link_refuses_a_negative_or_non_finite_charge(field, bad):
+    # A negative charge would deliver a frame before it was sent.
+    with pytest.raises(ValueError, match=field):
+        FrameLink(**{field: bad})

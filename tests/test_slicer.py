@@ -272,7 +272,7 @@ def test_exhaustive_audit_builds_no_capability_per_probe(monkeypatch):
 @pytest.mark.parametrize("lo,length", [(0x0, 0x400), (0x2800, 0x400), (0x3800, 0x400),
                                        (0x0, 0x20000)])
 def test_fast_audit_checks_only_the_ends_of_slices_in_the_aperture(monkeypatch, lo, length):
-    # O(slices), not O(bytes): at most two ends per need per slice that
+    # O(slices), not O(bytes): at most one check per need per slice that
     # overlaps the audited span, however long the span is.
     table = build_machine("sut", MODE_BYPASS, SUT_ENDPOINT, link=FrameLink()).table
     root = table.sealed_root
@@ -289,7 +289,7 @@ def test_fast_audit_checks_only_the_ends_of_slices_in_the_aperture(monkeypatch, 
     monkeypatch.setattr(slicer, "check_access", counted)
     bits = audit_reachability(view, length)
     assert bits == manifest_reach_oracle(data_manifest("e1000e.manifest"))[lo:lo + length]
-    assert 0 < len(calls) <= 2 * 2 * overlapping
+    assert 0 < len(calls) <= 2 * overlapping
 
 
 # Hostile slice values: the audited span starts at APERTURE, and slices may
