@@ -12,7 +12,7 @@ analogue of SIGPROT).
 ``Capability.perms`` is a plain ``int`` mask. :class:`Perm` stays the type
 at the API edge (constructors, :func:`restrict_perms`, ``has``) and its
 values compare equal to the stored ints, so ``cap.perms == Perm.READ``
-holds; ``Perm`` is rebuilt only to format a ``repr`` or a fault message,
+holds; a ``repr`` or a fault message spells a mask as Python 3.11+ does,
 and a fault formats its message only when the message is read.
 Hot callers pass the ``*_MASK`` ints below as ``need``. ``perfbench/``
 measures the speed of this core, and ``perfbench/fingerprint.py`` checks
@@ -105,8 +105,14 @@ def _sealed_text(otype: int) -> str:
     return f"sealed capability (otype {otype})"
 
 
+def _perm_repr(mask: int) -> str:
+    """CPython 3.11+'s `repr(Perm(mask))` for a mask of Perm's flags, on 3.10 too."""
+    flags = "|".join(p.name for p in Perm if mask & p)
+    return f"<Perm.{flags}: {mask}>" if flags else f"<Perm: {mask}>"
+
+
 def _perm_text(need: int, have: int) -> str:
-    return f"need {Perm(need)!r}, have {Perm(have)!r}"
+    return f"need {_perm_repr(need)}, have {_perm_repr(have)}"
 
 
 def _bounds_text(cursor: int, width: int, base: int, length: int) -> str:
@@ -155,7 +161,7 @@ class Capability:
         seal = f" otype={self.otype}" if self.sealed else ""
         tag = "+" if self.tag else "-"
         return (f"Cap[{tag}]({self.cursor:#x} in {self.base:#x}+{self.length:#x},"
-                f" {Perm(self.perms)!r}{seal})")
+                f" {_perm_repr(self.perms)}{seal})")
 
 
 _set_base = Capability.base.__set__

@@ -86,7 +86,7 @@ def build_machine(name: str, mode: str, endpoint: UdpEndpoint,
     if link is not None:
         nic.connect(link)
 
-    kernel = Kernel(space, authority, RAM_BASE, RAM_LENGTH, BAR_BASE, bar_manifest)
+    kernel = Kernel(space, authority, bar_manifest)
 
     token = None
     table = None

@@ -272,8 +272,8 @@ class AttachRecord:
 
 
 class Kernel:
-    """Interface + stub for one machine and its one device. Holds the root
-    authority.
+    """Interface + stub for one machine's RAM region (its private memory) and
+    device region (the BAR of its one device). Holds the root authority.
 
     The device is its two roots: `mmio_root` over the whole BAR and
     `dma_root` over its DMA region, both issued by bring-up together with
@@ -284,19 +284,17 @@ class Kernel:
     mmio_root: Capability
     dma_root: Capability
 
-    def __init__(self, space: PhysSpace, authority: RootAuthority,
-                 priv_base: int, priv_length: int, bar_base: int, bar_manifest: Manifest):
+    def __init__(self, space: PhysSpace, authority: RootAuthority, bar_manifest: Manifest):
         self.space = space
         self._authority = authority
+        ram = space.ram_region
         self._priv_root = authority.issue_root(
-            priv_base, priv_length,
-            Perm.READ | Perm.WRITE | Perm.LOAD_CAP | Perm.STORE_CAP)
-        self._alloc_next = priv_base
-        self._alloc_end = priv_base + priv_length
+            ram.base, ram.length, Perm.READ | Perm.WRITE | Perm.LOAD_CAP | Perm.STORE_CAP)
+        self._alloc_next, self._alloc_end = ram.base, ram.top
         self._records: dict[int, AttachRecord] = {}
         self.invocations = 0
         self._socket_rings: Optional[Rings] = None  # built by the first socket call
-        self.stub_attach(bar_base, bar_manifest)
+        self.stub_attach(bar_manifest)
 
     # -- kernel-private allocator ---------------------------------------------
 
@@ -312,7 +310,7 @@ class Kernel:
 
     # -- stub: probe/attach ------------------------------------------------
 
-    def stub_attach(self, bar_base: int, bar_manifest: Manifest) -> None:
+    def stub_attach(self, bar_manifest: Manifest) -> None:
         """Bring the device up: allocate DMA memory, program and preload the
         rings, enable TX/RX, and register the BAR manifest with the interface.
         The constructor calls it; a second call is refused as busy.
@@ -327,7 +325,7 @@ class Kernel:
 
         # The stub programs the whole device, so its root spans the BAR, not
         # just the part the manifest describes.
-        mmio_root = self._authority.issue_root(bar_base, BAR_LENGTH, PERM_RW)
+        mmio_root = self._authority.issue_root(self.space.device_region.base, BAR_LENGTH, PERM_RW)
         dma_base = self._alloc(DMA_LENGTH)
         dma_root = self._authority.issue_root(dma_base, DMA_LENGTH, PERM_RW)
         tx_ring, rx_ring = dma_base + DMA_TX_RING, dma_base + DMA_RX_RING

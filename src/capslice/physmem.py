@@ -1,11 +1,11 @@
 """Simulated flat physical address space with tagged memory.
 
 One byte store per address, one validity tag per 16-byte granule, and a
-region table that routes MMIO ranges to device models. Every access costs
-virtual nanoseconds on the space's clock. The space is also the only
-source of tagged root capabilities: :class:`RootAuthority` is created
-together with the space and is meant to be handed to the kernel module
-and nobody else.
+map of one RAM region and one device region, whose range routes to its
+device model. Every access costs virtual nanoseconds on the space's clock.
+The space is also the only source of tagged root capabilities:
+:class:`RootAuthority` is created together with the space and is meant to
+be handed to the kernel module and nobody else.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import mmap
 import struct
 from dataclasses import dataclass, fields
 from operator import index as _integer
-from typing import Optional, Protocol
+from typing import NoReturn, Optional, Protocol
 
 from .capability import (
     LOAD_CAP_MASK,
@@ -39,6 +39,10 @@ DATA_WIDTHS = (1, 2, 4, 8)
 _CODECS = {width: struct.Struct(f"<{code}") for width, code in zip(DATA_WIDTHS, "BHIQ")}
 _UNPACK = {width: codec.unpack_from for width, codec in _CODECS.items()}
 _PACK = {width: (codec.pack_into, 1 << 8 * width) for width, codec in _CODECS.items()}
+
+
+def _unmapped(addr: int, width: int) -> ValueError:
+    return ValueError(f"access [{addr:#x},{addr + width:#x}) maps to no single region")
 
 
 class MmioDevice(Protocol):
@@ -73,7 +77,8 @@ class Region:
 
 
 class PhysSpace:
-    """Flat simulated physical memory, single-owner, serialized access."""
+    """Flat simulated physical memory, single-owner, serialized access. Its
+    map is one RAM and one device region, whose bounds every access tests."""
 
     def __init__(self, size: int, costs: Optional[AccessCostTable] = None):
         self.size = size
@@ -83,15 +88,11 @@ class PhysSpace:
         # instead of depending on when the heap last gave memory back.
         self.data = mmap.mmap(-1, size)
         self.tags = bytearray((size + GRANULE - 1) // GRANULE)
-        self.regions: list[Region] = []
-        # The RAM region and the device region region_for found last, as
-        # plain ints, and that device. A ring engine alternates RAM, the BAR
-        # and DMA, so most accesses test one of these bounds and never call
-        # region_for. The empty [0, 0) misses every access until the first
-        # lookup.
-        self._ram_lo = self._ram_hi = 0
-        self._dev_lo = self._dev_hi = 0
-        self._dev: Optional[MmioDevice] = None
+        # Set by add_region alone. An absent region's [0, -1) holds no range.
+        self.ram_region: Optional[Region] = None
+        self.device_region: Optional[Region] = None
+        self._ram_lo, self._ram_hi = 0, -1
+        self._dev_lo, self._dev_hi = 0, -1
         self.clock: float = 0.0
         self.costs = costs or AccessCostTable()
         # The accessors add costs to the clock directly, past advance's check.
@@ -115,36 +116,36 @@ class PhysSpace:
 
     def add_region(self, base: int, length: int, device: Optional[MmioDevice] = None,
                    name: str = "") -> Region:
+        """Add the space's one RAM region (`device` None) or its one device
+        region; any other region is refused with ValueError, unrecorded."""
+        ram = device is None
+        if (self.ram_region if ram else self.device_region) is not None:
+            raise ValueError(f"space already has a {'RAM' if ram else 'device'} region")
         if base < 0 or base + length > self.size:
             raise ValueError(f"region [{base:#x},{base + length:#x}) outside space")
-        for r in self.regions:
-            if base < r.top and r.base < base + length:
+        for r in (self.ram_region, self.device_region):
+            if r is not None and base < r.top and r.base < base + length:
                 raise ValueError(f"region overlaps existing {r.name or hex(r.base)}")
         region = Region(base, length, device, name)
-        self.regions.append(region)
-        # RAM before devices, each by base: see region_for.
-        self.regions.sort(key=lambda r: (r.device is not None, r.base))
+        if ram:
+            self.ram_region, self._ram_lo, self._ram_hi = region, base, region.top
+        else:
+            self.device_region, self._dev_lo, self._dev_hi = region, base, region.top
         return region
 
     def region_for(self, addr: int, width: int) -> Region:
-        """The region holding [addr, addr + width); it becomes the cached RAM
-        or device region. Only an empty range at the seam of two regions lies
-        in both, and it resolves to RAM, as a bulk copy, DMA or capability
-        access needs: the regions are kept with RAM first."""
-        for r in self.regions:
-            if r.base <= addr and addr + width <= r.base + r.length:
-                if r.device is None:
-                    self._ram_lo, self._ram_hi = r.base, r.base + r.length
-                else:
-                    self._dev_lo, self._dev_hi, self._dev = r.base, r.base + r.length, r.device
-                return r
-        raise ValueError(f"access [{addr:#x},{addr + width:#x}) maps to no single region")
+        """The region holding [addr, addr + width): RAM first, so an empty range
+        at the seam of RAM and the device is RAM, as a RAM-only access needs."""
+        if self._ram_lo <= addr and addr + width <= self._ram_hi:
+            return self.ram_region
+        if self._dev_lo <= addr and addr + width <= self._dev_hi:
+            return self.device_region
+        raise _unmapped(addr, width)
 
-    def _find_ram(self, addr: int, count: int, refusal: str) -> None:
-        """Cache the RAM region holding [addr, addr + count), or raise: a bulk
-        copy, DMA or capability access is RAM-only."""
-        if self.region_for(addr, count).device is not None:
-            raise ValueError(refusal)
+    def _refuse(self, addr: int, count: int, refusal: str) -> NoReturn:
+        """Refuse a RAM-only range outside RAM: as region_for does, else with `refusal`."""
+        self.region_for(addr, count)
+        raise ValueError(refusal)
 
     # -- clock -----------------------------------------------------------
 
@@ -176,16 +177,13 @@ class PhysSpace:
         if unpack is None:
             raise CapFault(FaultKind.ALIGNMENT_FAULT, addr, f"bad access width {width}")
         check_access(cap, width, READ_MASK, offset)
-        # RAM if the cached RAM region holds the access, or if the cached
-        # device region does not and a lookup finds RAM (a width is never 0,
-        # so at most one region holds it); otherwise the lookup cached the device.
-        if (self._ram_lo <= addr and addr + width <= self._ram_hi
-                or not (self._dev_lo <= addr and addr + width <= self._dev_hi)
-                and self.region_for(addr, width).device is None):
+        if self._ram_lo <= addr and addr + width <= self._ram_hi:
             self.clock += self.costs.ram_access_ns
             return unpack(self.data, addr)[0]
-        self.clock += self.costs.mmio_access_ns
-        return self._dev.mmio_read(self, addr - self._dev_lo, width)
+        if self._dev_lo <= addr and addr + width <= self._dev_hi:
+            self.clock += self.costs.mmio_access_ns
+            return self.device_region.device.mmio_read(self, addr - self._dev_lo, width)
+        raise _unmapped(addr, width)
 
     def store(self, cap: Capability, width: int, value: int, offset: int = 0) -> None:
         """Store `value`, which must be an integer that fits the word:
@@ -204,17 +202,16 @@ class PhysSpace:
         pack, end = word
         if not 0 <= value < end:
             raise ValueError(f"value {value:#x} does not fit {width} bytes")
-        # Found as load finds it.
-        if (self._ram_lo <= addr and addr + width <= self._ram_hi
-                or not (self._dev_lo <= addr and addr + width <= self._dev_hi)
-                and self.region_for(addr, width).device is None):
+        if self._ram_lo <= addr and addr + width <= self._ram_hi:
             pack(self.data, addr, value)
             self.clock += self.costs.ram_access_ns
             if self._cap_shadow:
                 self._clear_tags(addr, width)
-        else:
+        elif self._dev_lo <= addr and addr + width <= self._dev_hi:
             self.clock += self.costs.mmio_access_ns
-            self._dev.mmio_write(self, addr - self._dev_lo, width, value)
+            self.device_region.device.mmio_write(self, addr - self._dev_lo, width, value)
+        else:
+            raise _unmapped(addr, width)
 
     def store_words(self, cap: Capability, width: int, payload: bytes, offset: int = 0) -> None:
         """Store `payload` as consecutive little-endian `width`-byte RAM words
@@ -237,7 +234,7 @@ class PhysSpace:
         for at in range(offset, offset + count, width):
             check_access(cap, width, WRITE_MASK, at)
         if addr < self._ram_lo or addr + count > self._ram_hi:
-            self._find_ram(addr, count, "bulk stores are RAM-only")
+            self._refuse(addr, count, "bulk stores are RAM-only")
         clock, ram_ns = self.clock, self.costs.ram_access_ns
         for _ in range(count // width):
             clock += ram_ns
@@ -252,7 +249,7 @@ class PhysSpace:
         check_access(cap, count, READ_MASK)
         addr = cap.cursor
         if addr < self._ram_lo or addr + count > self._ram_hi:
-            self._find_ram(addr, count, "bulk loads are RAM-only")
+            self._refuse(addr, count, "bulk loads are RAM-only")
         self.clock += self.costs.copy_per_byte_ns * count  # check_access refused count < 0
         return self.data[addr:addr + count]
 
@@ -261,7 +258,7 @@ class PhysSpace:
         check_access(cap, count, WRITE_MASK)
         addr = cap.cursor
         if addr < self._ram_lo or addr + count > self._ram_hi:
-            self._find_ram(addr, count, "bulk stores are RAM-only")
+            self._refuse(addr, count, "bulk stores are RAM-only")
         self.clock += self.costs.copy_per_byte_ns * count
         self.data[addr:addr + count] = payload
         if count and self._cap_shadow:
@@ -276,7 +273,7 @@ class PhysSpace:
         check_access(cap, GRANULE, STORE_CAP_MASK)
         addr = cap.cursor
         if addr < self._ram_lo or addr + GRANULE > self._ram_hi:
-            self._find_ram(addr, GRANULE, "capability stores are RAM-only")
+            self._refuse(addr, GRANULE, "capability stores are RAM-only")
         self.clock += self.costs.ram_access_ns
         g = addr // GRANULE
         self.data[addr:addr + 8] = (value.cursor % (1 << 64)).to_bytes(8, "little")
@@ -291,7 +288,7 @@ class PhysSpace:
         check_access(cap, GRANULE, LOAD_CAP_MASK)
         addr = cap.cursor
         if addr < self._ram_lo or addr + GRANULE > self._ram_hi:
-            self._find_ram(addr, GRANULE, "capability loads are RAM-only")
+            self._refuse(addr, GRANULE, "capability loads are RAM-only")
         self.clock += self.costs.ram_access_ns
         g = addr // GRANULE
         shadow = self._cap_shadow.get(g)
@@ -307,13 +304,13 @@ class PhysSpace:
         if count < 0:
             raise ValueError(f"DMA of {count} bytes")
         if addr < self._ram_lo or addr + count > self._ram_hi:
-            self._find_ram(addr, count, "DMA targets RAM")
+            self._refuse(addr, count, "DMA targets RAM")
         return self.data[addr:addr + count]
 
     def dma_write(self, addr: int, payload: bytes) -> None:
         count = len(payload)
         if addr < self._ram_lo or addr + count > self._ram_hi:
-            self._find_ram(addr, count, "DMA targets RAM")
+            self._refuse(addr, count, "DMA targets RAM")
         self.data[addr:addr + count] = payload
         if count and self._cap_shadow:
             self._clear_tags(addr, count)

@@ -1,11 +1,12 @@
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capslice import slicer
+from capslice import capability, slicer
 from capslice.capability import (
     READ_MASK,
     WRITE_MASK,
@@ -392,6 +393,15 @@ def test_repr_text_is_unchanged():
     assert repr(derive_bounds(ro, 0, 0x40000)) == "Cap[-](0x0 in 0x0+0x40000, <Perm.READ: 1>)"
     wo = with_cursor(restrict_perms(derive_bounds(root(), 0x100, 16), Perm.WRITE), 0x104)
     assert repr(wo) == "Cap[+](0x104 in 0x100+0x10, <Perm.WRITE: 2>)"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="3.10 spells Perm reprs its own way")
+def test_perm_texts_spell_every_mask_as_python_3_11_does():
+    # Fault and repr texts format masks with _perm_repr, not repr(Perm(...)),
+    # so they read the same on every supported Python; 3.10 would print
+    # <Perm.WRITE|READ: 3> and <Perm.0: 0>.
+    for mask in range(64):
+        assert capability._perm_repr(mask) == repr(Perm(mask))
 
 
 def test_fault_texts_are_unchanged():

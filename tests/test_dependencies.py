@@ -1,9 +1,12 @@
-"""The package runs on the standard library alone.
+"""The package runs on the standard library alone, and keeps its checks
+under `python -O`.
 
 `capslice` may import only `sys.stdlib_module_names` and itself, and
 `pyproject.toml` lists no runtime dependency; test-only packages belong in
-the `test` extra. Both checks read source text, so they hold on every
-Python version the project supports, with nothing extra installed.
+the `test` extra. No `capslice` module holds an `assert` statement, which
+`python -O` strips: every check raises an exception of its own. The checks
+read source text, so they hold on every Python version the project
+supports, with nothing extra installed.
 """
 
 import ast
@@ -31,6 +34,11 @@ def foreign_imports(source: str) -> list[str]:
     return found
 
 
+def assert_lines(source: str) -> list[int]:
+    """The line of each `assert` statement in `source`, at any depth."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
 def runtime_dependencies(pyproject: str) -> str:
     """The text inside `[project]`'s `dependencies = [...]`, or "" if absent."""
     section = re.search(r"^\[project\]\s*$(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
@@ -46,6 +54,8 @@ def test_the_checks_see_a_foreign_import_and_a_dependency():
     assert runtime_dependencies('[project]\nname = "x"\ndependencies = [\n  "numpy>=1",\n]\n'
                                 "[tool.x]\ndependencies = []\n") == '"numpy>=1",'
     assert runtime_dependencies('[project]\ndependencies = []  # none\n') == ""
+    assert assert_lines("x = 1  # assert x\ndef f(y):\n    if y:\n        assert y, 'y'\n"
+                        "s = 'assert'\n") == [4]
 
 
 def test_package_imports_only_the_standard_library():
@@ -57,3 +67,10 @@ def test_package_imports_only_the_standard_library():
 
 def test_pyproject_lists_no_runtime_dependency():
     assert runtime_dependencies((ROOT / "pyproject.toml").read_text()) == ""
+
+
+def test_package_holds_no_assert_statement():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert files
+    offenders = {f.name: lines for f in files if (lines := assert_lines(f.read_text()))}
+    assert offenders == {}

@@ -77,11 +77,11 @@ def test_checked_access_count_per_cell_is_pinned(monkeypatch, mode, delay_us):
     assert len(calls) == CHECKED_ACCESSES[(mode, delay_us)]
 
 
-# PhysSpace.region_for calls in the same cells. The space keeps the last RAM
-# and the last device region it found, so the only calls left are the three
-# roots each machine's kernel issues; every access after them hits a cached
-# region. Recorded before the device region had its own slot, when the four
-# cells made 143, 173, 141 and 173 calls.
+# PhysSpace.region_for calls in the same cells: the three roots each
+# machine's kernel issues. No access looks a region up, since every access
+# tests the fixed bounds of the space's one RAM and one device region.
+# Recorded when accesses cached the last region found and the device region
+# had no slot of its own, the four cells made 143, 173, 141 and 173 calls.
 REGION_LOOKUPS = {
     (MODE_BYPASS, 0): 6,
     (MODE_BYPASS, 1000): 6,

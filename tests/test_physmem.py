@@ -42,6 +42,7 @@ class ScratchDevice:
 
 
 def make_space():
+    """RAM, MMIO, then a gap to the end of the space."""
     space, authority = PhysSpace.create(0x20000)
     space.add_region(0x0, 0x10000, name="ram")
     dev = ScratchDevice()
@@ -76,9 +77,9 @@ def test_issue_root_straddling_regions_rejected():
 def test_zero_length_root_at_the_top_of_the_last_region_is_issued():
     # An empty range at a region's top lies in that region, as an empty copy
     # there does; every dereference of a byte through the root still faults.
-    space, authority, _ = make_gapped_space()
-    cap = authority.issue_root(0x20000, 0, CAP_PERMS)
-    assert cap.tag and cap.length == 0 and cap.base == space.size
+    space, authority, _ = make_space()
+    cap = authority.issue_root(0x11000, 0, CAP_PERMS)
+    assert cap.tag and cap.length == 0 and cap.base == space.device_region.top
     derefs = [lambda w=w, o=o: space.load(cap, w, o) for w in DATA_WIDTHS for o in (0, -1)]
     derefs += [lambda w=w, o=o: space.store(cap, w, 1, o) for w in DATA_WIDTHS for o in (0, -1)]
     derefs += [lambda: space.load_bytes(cap, 1), lambda: space.store_bytes(cap, b"x"),
@@ -92,7 +93,7 @@ def test_zero_length_root_at_the_top_of_the_last_region_is_issued():
 
 @pytest.mark.parametrize("base", [0x11001, 0x14000, 0x20001])
 def test_zero_length_root_past_every_region_is_refused(base):
-    space, authority, _ = make_gapped_space()
+    space, authority, _ = make_space()
     with pytest.raises(ValueError, match="maps to no single region"):
         authority.issue_root(base, 0, PERM_RW)
 
@@ -283,7 +284,7 @@ def test_store_words_fault_is_its_first_faulting_words_and_has_no_effect(where, 
 def test_store_words_touching_the_bar_is_refused_before_any_charge(start, refusal):
     space, _, dev = make_space()
     whole = Capability(0, 0x20000, start, PERM_RW, True)
-    space.load(Capability(0x10000, 0x1000, 0x10000, PERM_RW, True), 4)  # the BAR cached
+    space.load(Capability(0x10000, 0x1000, 0x10000, PERM_RW, True), 4)  # the BAR last
     before = snapshot(space)
     with pytest.raises(ValueError, match=refusal):
         space.store_words(whole, 4, bytes(16))
@@ -368,10 +369,11 @@ def test_empty_bulk_load_stays_legal():
     assert space.clock == 0.0
 
 
+# "cached" names the region accessed last; no access depends on it.
 @pytest.mark.parametrize("cached", ["ram", "mmio"])
 def test_empty_copy_at_the_top_of_ram_is_legal(cached):
-    # Found empty copies looked up one byte, [0x10000, 0x10001), which is
-    # the device's, and refused them although check_access allows width 0.
+    # An empty copy at RAM's top is RAM's, as check_access allows width 0
+    # there, although the device's range starts at the same address.
     space, authority, _ = make_space()
     cap = with_cursor(authority.issue_root(0, 0x10000, PERM_RW), 0x10000)
     mmio = authority.issue_root(0x10000, 0x1000, PERM_RW)
@@ -388,7 +390,7 @@ def test_empty_copy_at_the_top_of_ram_is_legal(cached):
 
 def test_empty_copy_at_a_device_ram_seam_is_ram_whichever_region_is_cached():
     # A device directly below RAM: an empty copy at the seam lies in both,
-    # and a RAM-only copy takes it as RAM, cached region or not.
+    # and a RAM-only copy takes it as RAM, whichever region was accessed last.
     space, authority = PhysSpace.create(0x3000)
     space.add_region(0x0, 0x1000, device=ScratchDevice(), name="mmio")
     space.add_region(0x1000, 0x1000, name="ram")
@@ -520,55 +522,115 @@ def test_clock_monotonic_under_any_sequence():
 
 # -- region lookup ------------------------------------------------------------------
 
-def make_gapped_space():
-    """RAM, MMIO, a gap, then more RAM."""
-    space, authority, dev = make_space()
-    space.add_region(0x18000, 0x8000, name="ram2")
-    return space, authority, dev
+def layout(space):
+    """Every field add_region sets: the two regions and their bounds."""
+    return {k: v for k, v in vars(space).items() if k.endswith(("_region", "_lo", "_hi", "_dev"))}
 
 
 def test_region_lookup_alternates_between_regions():
-    space, authority, dev = make_gapped_space()
+    space, authority, dev = make_space()
     ram = authority.issue_root(0, 0x10000, PERM_RW)
     mmio = authority.issue_root(0x10000, 0x1000, PERM_RW)
-    ram2 = authority.issue_root(0x18000, 0x8000, PERM_RW)
+    fixed = layout(space)
     space.store(with_cursor(ram, 0x40), 4, 0x11111111)
-    space.store(with_cursor(ram2, 0x18040), 4, 0x22222222)
     for _ in range(3):
-        assert space.region_for(0x40, 4).name == "ram"
+        assert space.region_for(0x40, 4) is space.ram_region
         assert space.load(with_cursor(ram, 0x40), 4) == 0x11111111
-        assert space.region_for(0x10000, 4).name == "mmio"
+        assert space.region_for(0x10000, 4) is space.device_region
         assert space.load(mmio, 4) == 0xC0FFEE
-        assert space.region_for(0x18040, 4).name == "ram2"
-        assert space.load(with_cursor(ram2, 0x18040), 4) == 0x22222222
+    assert space.region_for(0xFFF8, 8).name == "ram"
     assert space.region_for(0x10FFC, 4).name == "mmio"
-    assert space.region_for(0x1FFF8, 8).name == "ram2"
+    # An empty range at the seam is RAM's; one at the device's top is the device's.
+    assert space.region_for(0x10000, 0).name == "ram"
+    assert space.region_for(0x11000, 0).name == "mmio"
+    assert layout(space) == fixed  # no lookup or access wrote a layout field
 
 
 def test_region_lookup_rejects_straddles_and_gaps():
-    space, authority, _ = make_gapped_space()
+    space, authority, _ = make_space()
     ram = authority.issue_root(0, 0x10000, PERM_RW)
-    space.load(ram, 4)  # the RAM region is now the last one found
+    space.load(ram, 4)
     with pytest.raises(ValueError):
         space.region_for(0xFFFC, 8)  # across RAM's top into MMIO
-    space.region_for(0x10000, 4)  # now MMIO
+    space.region_for(0x10000, 4)
     with pytest.raises(ValueError):
         space.region_for(0x10FFC, 8)  # across MMIO's top into the gap
-    for addr in (0x11000, 0x14000, 0x17FFF):
+    for addr in (0x11000, 0x14000, 0x1FFFF):
         with pytest.raises(ValueError):
             space.region_for(addr, 1)
     with pytest.raises(ValueError):
-        space.region_for(0x17FFC, 8)  # from the gap into ram2
+        space.region_for(0x11001, 0)  # an empty range inside the gap
     with pytest.raises(ValueError):
-        space.region_for(0x1FFFC, 8)  # past the end of the space
+        space.region_for(0x1FFFC, 8)  # from the gap past the end of the space
     # Forged capabilities pass their own checks, then find no single region.
     over_gap = Capability(base=0x11000, length=0x1000, cursor=0x11000, perms=PERM_RW, tag=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="maps to no single region"):
         space.load(over_gap, 4)
     over_top = Capability(base=0, length=0x11000, cursor=0xFFFC, perms=PERM_RW, tag=True)
     space.load(ram, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="maps to no single region"):
         space.load(over_top, 8)
+    with pytest.raises(ValueError, match="maps to no single region"):
+        space.store(Capability(0x10000, 0x2000, 0x10FFE, PERM_RW, True), 4, 1)
+
+
+@pytest.mark.parametrize("device", [None, ScratchDevice()], ids=["ram", "device"])
+def test_a_space_refuses_a_second_region_of_a_kind_and_stays_as_it_was(device):
+    space, authority, dev = make_space()
+    fixed = layout(space)
+    for base, length in ((0x18000, 0x1000), (0x0, 0x100), (0x10000, 0x1000)):
+        with pytest.raises(ValueError, match="space already has a"):
+            space.add_region(base, length, device=device, name="second")
+    assert layout(space) == fixed
+    # The one RAM and one device region still serve as before.
+    ram = authority.issue_root(0, 0x10000, PERM_RW)
+    space.store(with_cursor(ram, 0x18), 4, 0xABCD)
+    assert space.load(with_cursor(ram, 0x18), 4) == 0xABCD
+    assert space.load(authority.issue_root(0x10000, 0x1000, PERM_RW), 4) == 0xC0FFEE
+    with pytest.raises(ValueError, match="DMA targets RAM"):
+        space.dma_read(0x10000, 4)
+    with pytest.raises(ValueError, match="maps to no single region"):
+        space.dma_read(0x18000, 4)
+
+
+def test_no_access_looks_a_region_up(monkeypatch):
+    space, authority, dev = make_space()
+    ram = authority.issue_root(0, 0x10000, CAP_PERMS)
+    mmio = authority.issue_root(0x10000, 0x1000, PERM_RW)
+
+    def no_lookup(*args):
+        raise AssertionError("region_for called")
+
+    monkeypatch.setattr(PhysSpace, "region_for", no_lookup)
+    space.store(with_cursor(ram, 0x100), 8, 0x0102030405060708)
+    assert space.load(with_cursor(ram, 0x100), 8) == 0x0102030405060708
+    assert space.load(mmio, 4) == 0xC0FFEE
+    space.store(mmio, 4, 9, 4)
+    assert dev.writes == [(4, 4, 9)]
+    space.store_bytes(with_cursor(ram, 0x200), b"abc")
+    assert space.load_bytes(with_cursor(ram, 0x200), 3) == b"abc"
+    space.store_words(with_cursor(ram, 0x300), 2, b"\x01\x00\x02\x00")
+    space.dma_write(0xFFFC, b"wxyz")
+    assert space.dma_read(0x300, 4) + space.dma_read(0xFFFC, 4) == b"\x01\x00\x02\x00wxyz"
+    space.cap_store(with_cursor(ram, 0x400), mmio)
+    assert space.cap_load(with_cursor(ram, 0x400)) == mmio
+    assert space.load_bytes(with_cursor(ram, 0x10000), 0) == b""
+    assert space.clock == 10 * 4 + 250 * 2 + 0.25 * 6 + 10 * 2
+
+
+def test_a_space_without_ram_refuses_every_ram_only_access():
+    # An absent region's bounds hold no range, so even an empty copy at
+    # address 0 is refused as the device's.
+    space, authority = PhysSpace.create(0x2000)
+    space.add_region(0x0, 0x1000, device=ScratchDevice(), name="mmio")
+    whole = Capability(0, 0x2000, 0, CAP_PERMS, True)
+    for access in (lambda: space.dma_read(0, 0), lambda: space.dma_write(0, b""),
+                   lambda: space.load_bytes(whole, 0), lambda: space.store_bytes(whole, b"")):
+        with pytest.raises(ValueError, match="RAM"):
+            access()
+    with pytest.raises(ValueError, match="maps to no single region"):
+        space.dma_read(0x1000, 1)
+    assert space.region_for(0, 0).name == "mmio"
 
 
 # -- tag clearing -------------------------------------------------------------------
@@ -633,9 +695,9 @@ def test_advance_keeps_its_own_check():
 # -- reference model --------------------------------------------------------------
 # A straight-line PhysSpace: every access scans the regions, charges through
 # advance and clears tags whether or not any granule is tagged. The real
-# space caches the bounds of the last RAM and the last device region it
-# found and skips work it can prove is a no-op; on any sequence of
-# operations the two must agree.
+# space tests the fixed bounds of its one RAM and one device region inline
+# and skips work it can prove is a no-op; on any sequence of operations the
+# two must agree.
 
 class ReferenceSpace:
     def __init__(self, regions, size):
@@ -770,22 +832,23 @@ class ReferenceSpace:
 
 
 ALL_PERMS = CAP_PERMS | Perm.SEAL | Perm.UNSEAL
-# Capabilities an operation may go through or store: the three regions'
-# roots, one spanning the whole space (its checks pass everywhere, so only
-# the region lookup stands between it and a gap or a straddle), a
-# read-only one and an untagged one.
+# Capabilities an operation may go through or store: the two regions'
+# roots, one over the device and the gap above it, one spanning the whole
+# space (its checks pass everywhere, so only the region bounds stand
+# between it and a gap or a straddle), a read-only one and an untagged one.
 CAP_POOL = (
     Capability(0, 0x10000, 0, CAP_PERMS, True),
     Capability(0x10000, 0x1000, 0x10000, PERM_RW, True),
-    Capability(0x18000, 0x8000, 0x18000, CAP_PERMS, True),
+    Capability(0x10000, 0x10000, 0x10000, CAP_PERMS, True),
     Capability(0, 0x20000, 0, ALL_PERMS, True),
     Capability(0, 0x10000, 0, Perm.READ, True),
     Capability(0, 0x20000, 0, ALL_PERMS, False),
 )
-# Each region's edges in the gapped space, where a cached bound that is off
-# by one, or a straddle the cache lets through, would show; and one granule
-# inside each RAM region, so that tagged granules are stored over again.
-HOT = (0, 0x10000, 0x11000, 0x18000, 0x20000, 0x100, 0x18100)
+# Each region's edges, the gap's middle and the end of the space, where a
+# bound that is off by one, or a straddle it lets through, would show; and
+# granules inside RAM and at its top, so that tagged granules are stored
+# over again.
+HOT = (0, 0x10000, 0x11000, 0x18000, 0x20000, 0x100, 0xFFE0)
 
 near_hot = st.builds(lambda hot, delta: max(hot + delta, 0), st.sampled_from(HOT),
                      st.sampled_from((-9, -8, -5, -3, -2, -1, -1, 0, 0, 1, 2, 7)))
@@ -844,9 +907,10 @@ def wide(addr):
 
 
 # Each region's edges, each reached from inside the region the last access
-# found: straddles up and down, the byte just below a cached base, and DMA
-# that starts in RAM and ends in the BAR. Random sequences reach these only
-# now and then, so they run on every test run.
+# touched: straddles up and down, the byte just below a region's base, and
+# DMA that starts in RAM and ends in the BAR or starts in the BAR and ends in
+# the gap. Random sequences reach these only now and then, so they run on
+# every test run.
 EDGE_OPS = [
     ("load", wide(0x100), 4, 0), ("load", wide(0xFFFC), 8, 0),
     ("load_bytes", wide(0xFFF0), 32), ("store_bytes", wide(0xFFF8), b"\xaa" * 12),
@@ -854,21 +918,22 @@ EDGE_OPS = [
     ("load", CAP_POOL[1], 4, 0), ("store", wide(0xFFFF), 1, 0x5A, 0),
     ("load", CAP_POOL[1], 4, 0), ("load", wide(0x10FFC), 8, 0),
     ("store", wide(0x10FFE), 4, 7, 0), ("dma_read", 0x10000, 4),
-    ("store", wide(0x18000), 8, 0x1122, 0), ("load", wide(0x17FFC), 8, 0),
-    ("dma_write", 0x17FFF, b"\x02\x03"), ("load", wide(0x1FFFC), 8, 0),
-    ("store", wide(0x18000), 1, 1, -1), ("dma_read", 0x1FFF8, 16),
+    ("store", wide(0x11000), 8, 0x1122, 0), ("load", wide(0x10FFC), 8, 0),
+    ("dma_write", 0x10FFF, b"\x02\x03"), ("load", wide(0x1FFFC), 8, 0),
+    ("store", wide(0x11000), 1, 1, -1), ("dma_read", 0x1FFF8, 16),
     ("load", CAP_POOL[1], 4, 0), ("load", wide(0xFFFF), 1, 0),
-    # Empty copies at each region's edges, with the device region cached.
+    # Empty copies at each region's edges, right after a device access.
     ("load", CAP_POOL[1], 4, 0), ("load_bytes", wide(0x10000), 0),
     ("load", CAP_POOL[1], 4, 0), ("store_bytes", wide(0x10000), b""),
     ("dma_read", 0x10000, 0), ("dma_write", 0x11000, b""), ("dma_read", 0x20000, 0),
-    ("load_bytes", wide(0x11000), 0), ("store_bytes", wide(0x18000), b""),
+    ("load_bytes", wide(0x11000), 0), ("store_bytes", wide(0x11001), b""),
     ("load_bytes", wide(0x14000), 0), ("dma_read", 0x100, -1),
-    # Word runs up to each RAM region's top, over it into the BAR, and from
-    # the BAR's cached region.
+    # Word runs up to RAM's top, over it into the BAR, from the BAR just
+    # accessed, from the BAR into the gap, and in the gap.
     ("store_words", wide(0xFFF0), 8, b"\x11" * 16, 0),
     ("store_words", wide(0xFFF8), 8, b"\x22" * 16, 0),
     ("load", CAP_POOL[1], 4, 0), ("store_words", wide(0x10000), 4, b"\x33" * 8, 0),
+    ("store_words", wide(0x10FF8), 4, b"\x66" * 16, 0),
     ("store_words", wide(0x1FFF0), 2, b"\x44" * 16, 0),
     ("store_words", wide(0x1FFF8), 8, b"\x55" * 16, 0),
     ("store_words", wide(0x100), 8, b"", -1),
@@ -876,9 +941,9 @@ EDGE_OPS = [
 
 
 # Rounds of one RAM access, one BAR access and one DMA, as a ring engine
-# makes them: each round moves through both cached regions and past them.
+# makes them: each round moves through both regions and past them.
 ram_caps = st.builds(lambda i, addr: with_cursor(CAP_POOL[i], addr),
-                     st.sampled_from((0, 2, 3)), addresses)
+                     st.sampled_from((0, 3, 3)), addresses)
 mmio_caps = st.builds(lambda i, off: with_cursor(CAP_POOL[i], 0x10000 + off),
                       st.sampled_from((1, 1, 3)),
                       st.one_of(st.sampled_from((0, 4, 0xFF8, 0xFFC, 0xFFF, 0x1000)),
@@ -903,16 +968,15 @@ interleaved = st.lists(st.tuples(ram_ops, mmio_ops, dma_ops), min_size=7, max_si
 
 
 def agrees_with_reference(tagged, ops):
-    space, _, dev = make_gapped_space()
+    space, _, dev = make_space()
     ref_dev = ScratchDevice()
-    ref = ReferenceSpace([(0, 0x10000, None), (0x10000, 0x1000, ref_dev),
-                          (0x18000, 0x8000, None)], 0x20000)
+    ref = ReferenceSpace([(0, 0x10000, None), (0x10000, 0x1000, ref_dev)], 0x20000)
     if tagged:
         # Tag the granules around each RAM hot spot, so that stores and DMA
         # there have tags to clear.
         value = CAP_POOL[0]
         ops = [("cap_store", with_cursor(CAP_POOL[3], g), value)
-               for g in (0xF0, 0x100, 0x110, 0x180F0, 0x18100, 0x18110)] + ops
+               for g in (0xF0, 0x100, 0x110, 0xFFD0, 0xFFE0, 0xFFF0)] + ops
     for op in ops:
         assert outcome(space, op) == outcome(ref, op), op
         assert space.clock == ref.clock
