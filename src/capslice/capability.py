@@ -7,7 +7,9 @@ capability grants: the slicer's root, the kernel's descriptor-buffer
 ioctl and the reachability audit each make one call over the whole range
 they need. Illegal *derivation* silently clears the tag (as the hardware
 does); illegal *dereference* raises :class:`CapFault` (the software
-analogue of SIGPROT).
+analogue of SIGPROT), except that ``check_access(..., probe=True)`` returns
+the fault's kind instead, for callers that only ask whether an access is
+allowed.
 
 ``Capability.perms`` is a plain ``int`` mask. :class:`Perm` stays the type
 at the API edge (constructors, :func:`restrict_perms`, ``has``) and its
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntFlag, auto
+from typing import Optional
 
 # otype identifiers are a 32-bit namespace; the reserved maximum means
 # "not sealed".
@@ -68,9 +71,9 @@ class CapFault(Exception):
     Raise it as ``CapFault(kind, address, detail, *operands)``. `detail` is
     the message text, or a module-level function that builds the text from
     `operands`. The text is built only when ``str()``, ``repr()`` or
-    ``.detail`` reads it, so a fault that is caught and dropped (almost every
-    probe of an exhaustive audit) formats nothing. ``args`` holds exactly
-    those raw values, so a fault pickles to an equal one.
+    ``.detail`` reads it, so a fault that is caught and dropped formats
+    nothing. ``args`` holds exactly those raw values, so a fault pickles to
+    an equal one.
     """
 
     @property
@@ -246,12 +249,19 @@ def unseal(target: Capability, authority: Capability) -> Capability:
     return Capability(target.base, target.length, target.cursor, target.perms, target.tag)
 
 
-def check_access(cap: Capability, width: int, need: int, offset: int = 0) -> None:
+def check_access(cap: Capability, width: int, need: int, offset: int = 0, *,
+                 probe: bool = False) -> Optional[FaultKind]:
     """Validate one access of `width` bytes at ``cap.cursor + offset``, or raise.
 
     Check order is fixed (tag, seal, permission, bounds) so identical
     inputs always fault identically. `need` is an int mask or a Perm. A
     negative `width` is out of bounds; zero is legal (an empty bulk copy).
+    An allowed access returns None.
+
+    With ``probe=True`` a failed check returns the FaultKind it would raise
+    and builds no CapFault: the form for a caller that asks only whether an
+    access is allowed, such as the exhaustive audit, whose probes nearly all
+    fail. The tests and their order are the same in both forms.
 
     `offset` is the immediate offset of CHERI's capability-relative loads
     and stores (CHERI ISA v9, UCAM-CL-TR-951): the access needs no new
@@ -263,14 +273,23 @@ def check_access(cap: Capability, width: int, need: int, offset: int = 0) -> Non
     """
     cursor = cap.cursor + offset
     if not cap.tag:
+        if probe:
+            return _TAG_INVALID
         raise CapFault(_TAG_INVALID, cursor, "untagged capability")
     if cap.otype != UNSEALED:
+        if probe:
+            return _SEAL_VIOLATION
         raise CapFault(_SEAL_VIOLATION, cursor, _sealed_text, cap.otype)
     if (cap.perms & need) != need:
+        if probe:
+            return _PERMISSION_DENIED
         raise CapFault(_PERMISSION_DENIED, cursor, _perm_text, need, cap.perms)
     base = cap.base
     if cursor < base or cursor + width > base + cap.length or width < 0:
+        if probe:
+            return _BOUNDS_VIOLATION
         raise CapFault(_BOUNDS_VIOLATION, cursor, _bounds_text, cursor, width, base, cap.length)
+    return None
 
 
 def make_otype_authority(otype: int) -> Capability:

@@ -172,6 +172,9 @@ class LoadGenerator:
             raise ValueError(f"at most {self.MAX_TRIALS} trials per cell")
         if window < 1:
             raise ValueError(f"window must be at least 1, got {window!r}")
+        # A negative pause would send at the previous send's time, as 0 does.
+        if not (math.isfinite(delay_ns) and delay_ns >= 0):
+            raise ValueError(f"delay_ns must be a finite non-negative number, got {delay_ns!r}")
         self.machine = machine
         self.loop = loop
         self.payloads = payloads

@@ -137,7 +137,9 @@ def audit_reachability(table: SliceTable, bar_length: int,
     builds a capability. That form faults exactly where the `with_cursor`
     form does, except that a tagged sealed slice faults SEAL_VIOLATION
     rather than TAG_INVALID; the audit records only whether a probe
-    faulted, so the two paths check each other across both forms.
+    faulted, so the two paths check each other across both forms. Each
+    probe is check_access's ``probe=True`` form, so a failed probe raises
+    and catches nothing and builds no CapFault.
     """
     base = table.sealed_root.base
     caps = [cap for _, cap in table.slices]
@@ -150,12 +152,9 @@ def audit_reachability(table: SliceTable, bar_length: int,
             bits = 0
             for need, bit in _AUDIT_NEEDS:
                 for cap in caps:
-                    try:
-                        check_access(cap, 1, need, addr - cap.cursor)
-                    except CapFault:
-                        continue
-                    bits |= bit
-                    break
+                    if check_access(cap, 1, need, addr - cap.cursor, probe=True) is None:
+                        bits |= bit
+                        break
             result[b] = bits
         return result
 

@@ -359,6 +359,23 @@ def test_width_one_access_passes_on_one_interval_of_cursors(cap, lo, span, need)
         assert whole == (len(passing) == span)
 
 
+# -- the probe form ------------------------------------------------------------------
+
+@settings(deadline=None)
+@given(cap=caps(), offset=st.one_of(offsets, st.integers(-(1 << 64), 1 << 64)),
+       width=st.integers(-2, 0x40), need=needs)
+def test_probe_returns_the_kind_check_access_raises(cap, offset, width, need):
+    # Untagged, sealed, any perms mask, need 0, negative widths, and an
+    # offset that can put the cursor anywhere in or past the 64-bit space.
+    kind = check_access(cap, width, need, offset, probe=True)
+    try:
+        passed = check_access(cap, width, need, offset)
+    except CapFault as fault:
+        assert kind is fault.kind
+    else:
+        assert passed is None and kind is None
+
+
 # -- int permission masks ------------------------------------------------------------
 
 def test_perm_and_int_masks_build_equal_capabilities():
@@ -441,6 +458,7 @@ def test_fault_texts_are_unchanged():
     for cap, need, kind, address, text, rep, detail in cases:
         with pytest.raises(CapFault) as err:
             check_access(cap, 4, need)
+        assert check_access(cap, 4, need, probe=True) is kind
         assert err.value.kind is kind
         assert err.value.address == address
         assert str(err.value) == text

@@ -282,10 +282,13 @@ def test_expected_echo_equals_the_servers_reply():
 
 
 @pytest.mark.parametrize("bad", [{"link_ns": -5000.0}, {"wire_ns_per_byte": math.nan},
-                                 {"window": 0}])
+                                 {"window": 0}, {"delays_us": (-5, 0)},
+                                 {"delays_us": (math.nan,)}, {"delays_us": (math.inf,)}])
 def test_sweep_refuses_a_bad_link_or_window_before_any_row(bad):
     # A negative link delivers frames before they are sent, and no window
-    # sends nothing; the library refuses both, not only the CLI.
+    # sends nothing; a negative pause between requests would run as no pause,
+    # and a NaN one label its rows nan. The library refuses each, not only
+    # the CLI.
     with pytest.raises(ValueError):
         run_sweep(small_cfg(trials=5, **bad))
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capslice import slicer
+from capslice import capability, slicer
 from capslice.capability import (
     ADDR_TOP,
     READ_MASK,
@@ -264,6 +264,19 @@ def test_exhaustive_audit_builds_no_capability_per_probe(monkeypatch):
         raise AssertionError("exhaustive audit built a capability to move a cursor")
 
     monkeypatch.setattr(slicer, "with_cursor", no_with_cursor)
+    assert audit_reachability(table, m.bar_length, exhaustive=True) == manifest_reach_oracle(m)
+
+
+def test_exhaustive_audit_builds_no_fault(monkeypatch):
+    # Every exhaustive probe asks check_access for the fault kind; one that
+    # built a CapFault, even to catch and drop it, would raise here.
+    m = parse(EXAMPLE)
+    table = slice_standalone(m)
+
+    def no_fault(*args):
+        raise AssertionError("exhaustive audit built a CapFault")
+
+    monkeypatch.setattr(capability, "CapFault", no_fault)
     assert audit_reachability(table, m.bar_length, exhaustive=True) == manifest_reach_oracle(m)
 
 
