@@ -2,8 +2,8 @@
 
 Subcommands:
     validate <manifest>      parse, then list every violation of the kernel's one
-                             admission rule: shape, then the device (`device`
-                             line, BAR length, kernel-only registers, doorbells)
+                             admission rule: shape, then the device (`device` line,
+                             BAR length, kernel-only registers, names, doorbells)
     slice-dump <manifest>    print the slice table the manifest carves
     audit                    run the isolation suite, write audit.txt
     sweep                    run the latency sweep, write results.csv

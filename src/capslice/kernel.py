@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from . import slicer
+from . import nic, slicer
 from .capability import (
     READ_MASK,
     WRITE_MASK,
@@ -54,20 +54,7 @@ from .nic import (
     DESC_STATUS,
     DEVICE_NAME,
     MAX_LINK_FRAME,
-    PRIVILEGED,
     RCTL_EN,
-    REG_RCTL,
-    REG_RDBAH,
-    REG_RDBAL,
-    REG_RDH,
-    REG_RDLEN,
-    REG_RDT,
-    REG_TCTL,
-    REG_TDBAH,
-    REG_TDBAL,
-    REG_TDH,
-    REG_TDLEN,
-    REG_TDT,
     TCTL_EN,
     TX_CMD_EOP,
     TX_CMD_IFCS,
@@ -240,8 +227,9 @@ def device_truth_violations(bar_manifest: Manifest) -> list[str]:
     """The one admission rule: every reason the kernel refuses a BAR manifest,
     `validate()`'s problems alone if it has any. It must then name the device
     (`nic.DEVICE_NAME`), fit the BAR, grant no byte of a kernel-only register
-    (`nic.PRIVILEGED`), and grant read-write TDT and RDT of 4+ bytes at the
-    device's own registers: the doorbells the bypass driver rings."""
+    (`nic.PRIVILEGED`), give a register name of `nic.REGISTERS` only to one
+    entry at that register's offset, and grant each `doorbell` row, the
+    registers the bypass driver rings, read-write with 4+ bytes."""
     problems = validate(bar_manifest)
     if problems:
         return problems
@@ -254,13 +242,21 @@ def device_truth_violations(bar_manifest: Manifest) -> list[str]:
     granted = {}
     for r in expand(bar_manifest):
         granted[r.name] = r
-        for off in PRIVILEGED:
+        for off in nic.PRIVILEGED:
             if r.offset < off + 4 and off < r.offset + r.size:
                 problems.append(f"BAR manifest grants {r.name}, which covers the"
                                 f" kernel-only register at {off:#x}")
-    for name, off in (("TDT", REG_TDT), ("RDT", REG_RDT)):
+    # A device register's name means that register: one entry, at its offset.
+    for e in bar_manifest.entries:
+        row = nic.REGISTERS.get(e.name)
+        if row and (e.offset != row[0] or e.repeat is not None and e.repeat.count > 1):
+            problems.append(f"BAR manifest's {e.name} is not the device's {e.name},"
+                            f" one register at {row[0]:#x}")
+    # So a range named as a doorbell sits at its register. The last row goes
+    # first: bring-up reports the first problem, TDT's for a manifest with neither.
+    for name, (off, role) in reversed(nic.REGISTERS.items()):
         r = granted.get(name)  # the last, as in the slice table's `index_map()`
-        if r is None or r.offset != off or r.size < 4 or r.perm is not PermClass.RW:
+        if role == "doorbell" and (r is None or r.size < 4 or r.perm is not PermClass.RW):
             problems.append(f"BAR manifest grants no read-write {name} of 4+ bytes at {off:#x}")
     return problems
 
@@ -278,7 +274,7 @@ class Kernel:
     The device is its two roots: `mmio_root` over the whole BAR and
     `dma_root` over its DMA region, both issued by bring-up together with
     the `bar_manifest` it accepted. Every register, ring and buffer address
-    is derived from a root's base and the `REG_*`/`DMA_*` offsets."""
+    is derived from a root's base and the `nic.REG_*`/`DMA_*` offsets."""
 
     bar_manifest: Manifest
     mmio_root: Capability
@@ -338,15 +334,15 @@ class Kernel:
             store(mmio_root, 4, val, off)
 
         ring_bytes = RING_SIZE * DESC_SIZE
-        reg(REG_TDBAL, tx_ring & 0xFFFFFFFF)
-        reg(REG_TDBAH, tx_ring >> 32)
-        reg(REG_TDLEN, ring_bytes)
-        reg(REG_TDH, 0)
-        reg(REG_TDT, 0)
-        reg(REG_RDBAL, rx_ring & 0xFFFFFFFF)
-        reg(REG_RDBAH, rx_ring >> 32)
-        reg(REG_RDLEN, ring_bytes)
-        reg(REG_RDH, 0)
+        reg(nic.REG_TDBAL, tx_ring & 0xFFFFFFFF)
+        reg(nic.REG_TDBAH, tx_ring >> 32)
+        reg(nic.REG_TDLEN, ring_bytes)
+        reg(nic.REG_TDH, 0)
+        reg(nic.REG_TDT, 0)
+        reg(nic.REG_RDBAL, rx_ring & 0xFFFFFFFF)
+        reg(nic.REG_RDBAH, rx_ring >> 32)
+        reg(nic.REG_RDLEN, ring_bytes)
+        reg(nic.REG_RDH, 0)
 
         # Preprogram every descriptor to its paired buffer so the data
         # path never needs the kernel to fix addresses: one checked 8-byte
@@ -354,10 +350,10 @@ class Kernel:
         self.space.store_words(dma_root, 8, _ring_image(dma_base + DMA_TX_BUFS), DMA_TX_RING)
         self.space.store_words(dma_root, 8, _ring_image(dma_base + DMA_RX_BUFS), DMA_RX_RING)
 
-        reg(REG_TCTL, TCTL_EN)
-        reg(REG_RCTL, RCTL_EN)
+        reg(nic.REG_TCTL, TCTL_EN)
+        reg(nic.REG_RCTL, RCTL_EN)
         # Hand the device all but one RX descriptor (head == tail means empty).
-        reg(REG_RDT, RING_SIZE - 1)
+        reg(nic.REG_RDT, RING_SIZE - 1)
 
         self.bar_manifest, self.mmio_root, self.dma_root = bar_manifest, mmio_root, dma_root
 
@@ -450,8 +446,8 @@ class Kernel:
             mmio_root = self.mmio_root
             self._socket_rings = Rings.over(
                 self.space, table, table.index_map(),
-                with_cursor(mmio_root, mmio_root.base + REG_TDT),
-                with_cursor(mmio_root, mmio_root.base + REG_RDT))
+                with_cursor(mmio_root, mmio_root.base + nic.REG_TDT),
+                with_cursor(mmio_root, mmio_root.base + nic.REG_RDT))
         return self._socket_rings
 
     def socket_send(self, frame: bytes) -> None:

@@ -6,8 +6,8 @@ handler runs) and touches RAM only at addresses read from descriptor
 address fields. Frames travel over a :class:`FrameLink` with propagation
 delay plus per-byte serialization time.
 
-Register offsets beyond CTRL/STATUS/IMS/TDT follow the public Intel
-8254x map so the shipped manifest stays honest to a real part.
+`REGISTERS` is the one statement of the register map, after the public
+Intel 8254x map, so the shipped manifest stays honest to a real part.
 """
 
 from __future__ import annotations
@@ -19,26 +19,33 @@ from typing import Callable, Optional
 
 from .physmem import PhysSpace
 
-# Register offsets (byte offsets into the BAR).
-REG_CTRL = 0x0000
-REG_STATUS = 0x0008
-REG_ICR = 0x00C0
-REG_IMS = 0x00D0
-REG_RCTL = 0x0100
-REG_TCTL = 0x0400
-REG_RDBAL = 0x2800
-REG_RDBAH = 0x2804
-REG_RDLEN = 0x2808
-REG_RDH = 0x2810
-REG_RDT = 0x2818
-REG_TDBAL = 0x3800
-REG_TDBAH = 0x3804
-REG_TDLEN = 0x3808
-REG_TDH = 0x3810
-REG_TDT = 0x3818
+# Each register the device decodes, by name: its BAR offset (each is 4 bytes
+# wide) and its role, as the Intel 8254x Family Software Developer's Manual has them.
+REGISTERS = {
+    "CTRL": (0x0000, "control"),
+    "STATUS": (0x0008, "status"),
+    "ICR": (0x00C0, "interrupt"),
+    "IMS": (0x00D0, "interrupt"),
+    "RCTL": (0x0100, "enable"),
+    "TCTL": (0x0400, "enable"),
+    "RDBAL": (0x2800, "dma_target"),
+    "RDBAH": (0x2804, "dma_target"),
+    "RDLEN": (0x2808, "dma_target"),
+    "RDH": (0x2810, "ring_position"),
+    "RDT": (0x2818, "doorbell"),
+    "TDBAL": (0x3800, "dma_target"),
+    "TDBAH": (0x3804, "dma_target"),
+    "TDLEN": (0x3808, "dma_target"),
+    "TDH": (0x3810, "ring_position"),
+    "TDT": (0x3818, "doorbell"),
+}
+# Hot paths index by these plain ints; they follow the rows in order.
+(REG_CTRL, REG_STATUS, REG_ICR, REG_IMS, REG_RCTL, REG_TCTL,
+ REG_RDBAL, REG_RDBAH, REG_RDLEN, REG_RDH, REG_RDT,
+ REG_TDBAL, REG_TDBAH, REG_TDLEN, REG_TDH, REG_TDT) = (off for off, _ in REGISTERS.values())
 
 DEVICE_NAME = "e1000e"  # the name a BAR manifest's `device` line must give
-BAR_LENGTH = 0x20000  # 128 KiB aperture; largest register offset is 0x3818
+BAR_LENGTH = 0x20000  # 128 KiB aperture, far past the last register
 
 STATUS_FD = 0x01      # full duplex
 STATUS_LU = 0x02      # link up
@@ -68,19 +75,15 @@ TX_CMD_RS = 0x08
 # The one frame limit, from the driver's ring engine through the device to the link.
 MAX_LINK_FRAME = 1518
 
-# Kernel-only registers, 4 bytes each. Through any of them a driver could
-# repoint the rings' DMA, move or stop a ring, or change interrupt state.
-PRIVILEGED = (
-    REG_ICR, REG_IMS, REG_RCTL, REG_TCTL,
-    REG_RDBAL, REG_RDBAH, REG_RDLEN, REG_RDH,
-    REG_TDBAL, REG_TDBAH, REG_TDLEN, REG_TDH,
-)
+# The roles only the kernel may hold. Through a register of any of them a driver
+# could repoint the rings' DMA, move or stop a ring, or change interrupt state.
+KERNEL_ROLES = ("interrupt", "enable", "dma_target", "ring_position")
+PRIVILEGED = tuple(off for off, role in REGISTERS.values() if role in KERNEL_ROLES)
 
-_WRITABLE = {
-    REG_CTRL, REG_RCTL, REG_TCTL,
-    REG_RDBAL, REG_RDBAH, REG_RDLEN, REG_RDH, REG_RDT,
-    REG_TDBAL, REG_TDBAH, REG_TDLEN, REG_TDH, REG_TDT,
-}
+# Software writes every register but STATUS, which reports the link, and the
+# interrupt registers: ICR drops a write, and IMS keeps only the bits set in it.
+_WRITABLE = frozenset(off for off, role in REGISTERS.values()
+                      if role not in ("status", "interrupt"))
 
 
 class FrameLink:

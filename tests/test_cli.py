@@ -241,7 +241,9 @@ def test_validate_checks_device_truth(tmp_path, capsys):
 def test_bar_manifest_the_stub_or_driver_cannot_use_exits_1(tmp_path, capsys):
     # A short BAR, a register outside its BAR, two overlapping registers
     # (STATUS would be writable through CTRL), a read-only TX tail, no RX
-    # tail, a TX tail at another register's offset and a 2-byte TX tail.
+    # tail, a TX tail at another register's offset, a 2-byte TX tail, and a
+    # device register's name at another register's offset (STATUS at CTRL's)
+    # or at no register's (IMS granted read-only at 0x4).
     shipped = (DATA / "e1000e.manifest").read_text()
     overlap, n = re.subn(r"^reg CTRL   0x0000 4 RW(.*)\nreg STATUS 0x0008",
                          r"reg CTRL   0x0000 8 RW\1\nreg STATUS 0x0004", shipped, flags=re.M)
@@ -249,6 +251,8 @@ def test_bar_manifest_the_stub_or_driver_cannot_use_exits_1(tmp_path, capsys):
     tdt_ro, n = re.subn(r"^(reg TDT .*)RW", r"\1RO", shipped, flags=re.M)
     assert n == 1
     no_rdt, n = re.subn(r"^reg RDT .*\n", "", shipped, flags=re.M)
+    assert n == 1
+    ims_elsewhere, n = re.subn(r"^reg IMS .*$", "reg IMS 0x0004 4 RO", shipped, flags=re.M)
     assert n == 1
     cases = {
         "short-bar": ("device e1000e\nbar 0x100\nreg CTRL 0x0 4 RW\n", "TDT"),
@@ -262,6 +266,9 @@ def test_bar_manifest_the_stub_or_driver_cannot_use_exits_1(tmp_path, capsys):
                           "reg TDT 0x0004 4 RW\nreg RDT 0x2818 4 RW\n", "TDT"),
         "tdt-short": ("device e1000e\nbar 0x20000\nreg RDT 0x2818 4 RW\n"
                       "reg TDT 0x3818 2 RW\n", "TDT"),
+        "status-at-ctrl": ("device e1000e\nbar 0x20000\nreg STATUS 0x0000 4 RO\n"
+                           "reg RDT 0x2818 4 RW\nreg TDT 0x3818 4 RW\n", "STATUS"),
+        "ims-elsewhere": (ims_elsewhere, "IMS"),
     }
     for label, (text, detail) in cases.items():
         path = tmp_path / f"{label}.manifest"

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from capslice import kernel as kernelmod
+from capslice import nic as nicmod
 from capslice import slicer
 from capslice.capability import (
     Capability,
@@ -49,7 +50,9 @@ from capslice.kernel import (
 from capslice.manifest import Manifest, PermClass, Repeat, SliceEntry, expand, parse
 from capslice.nic import (
     BAR_LENGTH,
+    KERNEL_ROLES,
     PRIVILEGED,
+    REGISTERS,
     FrameLink,
     NicModel,
     REG_RDT,
@@ -125,6 +128,20 @@ def test_double_attach_is_error():
 def test_stub_refuses_any_grant_of_a_privileged_register():
     m, kern = rig()
     shipped = kern.bar_manifest
+    # The shipped manifest is the register table's projection: its names at
+    # their offsets, KERNEL exactly where the role is kernel-only, and CTRL
+    # the one `control` register userspace may write.
+    assert (sorted((e.name, e.offset) for e in shipped.entries)
+            == sorted((name, off) for name, (off, _) in REGISTERS.items()))
+    for e in shipped.entries:
+        assert (e.perm is PermClass.KERNEL) == (REGISTERS[e.name][1] in KERNEL_ROLES), e.name
+    assert [e.name for e in shipped.entries
+            if e.perm is PermClass.RW and REGISTERS[e.name][1] == "control"] == ["CTRL"]
+    # The isolation suite's device-truth scenario lists reached registers in this order.
+    assert PRIVILEGED == (0x00C0, 0x00D0, 0x0100, 0x0400, 0x2800, 0x2804, 0x2808, 0x2810,
+                          0x3800, 0x3804, 0x3808, 0x3810)
+    for name, (off, _) in REGISTERS.items():
+        assert getattr(nicmod, "REG_" + name) == off, name
     kernel_only = [e for e in shipped.entries if e.perm is PermClass.KERNEL]
     assert sorted(e.offset for e in kernel_only) == sorted(PRIVILEGED)
     for e in kernel_only:
@@ -143,6 +160,20 @@ def test_stub_refuses_a_bar_manifest_that_fails_validate():
         new_kernel(replace(shipped, entries=entries))
     assert err.value.code is ErrCode.BAD_ARGUMENT
     assert err.value.detail == "CTRL and STATUS overlap at 0x8"
+
+
+def test_stub_refuses_a_device_register_name_elsewhere_or_repeated():
+    # A second TDT ahead of the real one, and CTRL as a run of two ranges:
+    # neither is the one register its name says.
+    m, kern = rig()
+    shipped = kern.bar_manifest
+    stray = SliceEntry("TDT", 0x1000, 4, PermClass.RW)
+    ctrl_run = tuple(replace(e, repeat=Repeat(2, 4)) if e.name == "CTRL" else e
+                     for e in shipped.entries)
+    for name, entries in (("TDT", (stray, *shipped.entries)), ("CTRL", ctrl_run)):
+        with pytest.raises(ApiError) as err:
+            new_kernel(replace(shipped, entries=entries))
+        assert err.value.code is ErrCode.BAD_ARGUMENT and name in err.value.detail
 
 
 def test_stub_refuses_a_bar_manifest_for_another_device():
@@ -164,7 +195,8 @@ DOORBELL_FAULTS = ("offset", "read-only", "short", "missing")
 @st.composite
 def bar_manifests(draw, max_entries=5):
     # Random ranges, some on or next to a kernel-only register, some at or
-    # past the end of the BAR, with any class and optional repeats. Sound
+    # past the end of the BAR, some named as a device register at its offset
+    # or elsewhere, with any class and optional repeats. Sound
     # shapes are drawn more often than broken ones, so that a good share of
     # the manifests is accepted and audited. Six draws in seven grant both
     # doorbells as the device has them; the rest break one of them in one
@@ -187,8 +219,15 @@ def bar_manifests(draw, max_entries=5):
         entries.append(SliceEntry(name, offset, size, perm))
     for i in range(draw(st.integers(1, max_entries))):
         where = draw(st.sampled_from(("free",) * 4 + ("privileged", "bar-end")))
+        name = f"R{i}"
         if where == "free":
             offset = draw(st.integers(0, AUDITED - 1))
+            # One free entry in four takes a device register's name, half of
+            # those at that register's offset.
+            if draw(st.sampled_from((False,) * 3 + (True,))):
+                name = draw(st.sampled_from(sorted(REGISTERS)))
+                if draw(st.booleans()):
+                    offset = REGISTERS[name][0]
         elif where == "privileged":
             offset = draw(st.sampled_from(PRIVILEGED)) + draw(st.integers(-8, 8))
         else:
@@ -201,7 +240,7 @@ def bar_manifests(draw, max_entries=5):
         if draw(st.booleans()):
             stride = draw(st.one_of(st.integers(size, size + 0x40), st.integers(0, 0x100)))
             repeat = Repeat(draw(st.integers(1, 4)), stride)
-        entries.append(SliceEntry(f"R{i}", offset, size, draw(st.sampled_from(PermClass)),
+        entries.append(SliceEntry(name, offset, size, draw(st.sampled_from(PermClass)),
                                   repeat))
     bar = draw(st.sampled_from((BAR_LENGTH,) * 9 + (AUDITED, BAR_LENGTH + 0x1000)))
     return Manifest("e1000e", bar, tuple(entries))
@@ -230,6 +269,9 @@ def test_hostile_policy_is_refused_or_reaches_no_privileged_byte(m):
         return
     reach = audit_reachability(table, AUDITED)
     assert _reaches_no_privileged_byte(reach)
+    # A slice named as a device register is that register.
+    assert all(cap.base == BAR_BASE + REGISTERS[name][0]
+               for name, cap in table if name in REGISTERS)
     # The DMA slices reach nothing in the BAR, and the register slices what
     # the manifest grants.
     assert reach == manifest_reach_oracle(m, AUDITED)
