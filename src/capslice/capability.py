@@ -249,7 +249,7 @@ def unseal(target: Capability, authority: Capability) -> Capability:
     return Capability(target.base, target.length, target.cursor, target.perms, target.tag)
 
 
-def check_access(cap: Capability, width: int, need: int, offset: int = 0, *,
+def check_access(cap: Capability, width: int, need: int, offset: int = 0,
                  probe: bool = False) -> Optional[FaultKind]:
     """Validate one access of `width` bytes at ``cap.cursor + offset``, or raise.
 

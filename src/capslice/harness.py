@@ -48,7 +48,8 @@ def _data_text(name: str) -> str:
 
 
 def data_manifest(name: str) -> Manifest:
-    """A shipped manifest, parsed afresh on every call from text read once."""
+    """A shipped manifest: its text is read once per process, and `parse`
+    returns the one Manifest it made of that text."""
     return parse(_data_text(name))
 
 

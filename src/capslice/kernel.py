@@ -229,7 +229,26 @@ def device_truth_violations(bar_manifest: Manifest) -> list[str]:
     (`nic.DEVICE_NAME`), fit the BAR, grant no byte of a kernel-only register
     (`nic.PRIVILEGED`), give a register name of `nic.REGISTERS` only to one
     entry at that register's offset, and grant each `doorbell` row, the
-    registers the bypass driver rings, read-write with 4+ bytes."""
+    registers the bypass driver rings, read-write with 4+ bytes.
+
+    The verdict is a pure function of the frozen manifest's value, so it is
+    remembered per value, and each call gets a fresh list. A value not seen
+    before is checked in full; a manifest that cannot be hashed (its entries
+    a list, say) is checked in full on every call."""
+    try:
+        return list(_admission(bar_manifest))
+    except TypeError:
+        # Raised by hashing the key, before `_admission` runs. A TypeError
+        # from the rule itself is raised again here.
+        return _violations(bar_manifest)
+
+
+@functools.lru_cache(maxsize=16)
+def _admission(bar_manifest: Manifest) -> tuple[str, ...]:
+    return tuple(_violations(bar_manifest))
+
+
+def _violations(bar_manifest: Manifest) -> list[str]:
     problems = validate(bar_manifest)
     if problems:
         return problems

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 from .capability import PERM_NONE, PERM_RW, Perm
@@ -94,7 +94,16 @@ def _parse_int(token: str, what: str, line: int) -> int:
 
 
 def parse(text: str) -> Manifest:
-    """Parse manifest text. Unknown directives are errors, not warnings."""
+    """Parse manifest text. Unknown directives are errors, not warnings.
+
+    A text's parse is remembered, so equal text gives the identical frozen
+    Manifest; text not seen before is parsed in full, and bad text raises its
+    ManifestError on every call."""
+    return _parse(text)
+
+
+@lru_cache(maxsize=16)
+def _parse(text: str) -> Manifest:
     device_name: Optional[str] = None
     bar_length: Optional[int] = None
     entries: list[SliceEntry] = []
@@ -179,7 +188,11 @@ def validate(m: Manifest) -> list[str]:
     violations: list[str] = []
     if m.bar_length < 1:
         violations.append(f"bar length must be >= 1 (got {m.bar_length})")
+    seen: set[str] = set()
     for e in m.entries:
+        if e.name in seen:
+            violations.append(f"duplicate register name {e.name!r}")
+        seen.add(e.name)
         if e.size < 1:
             violations.append(f"{e.name}: size must be >= 1 (got {e.size})")
         if e.repeat is not None:

@@ -376,6 +376,13 @@ def test_probe_returns_the_kind_check_access_raises(cap, offset, width, need):
         assert passed is None and kind is None
 
 
+def test_check_access_takes_no_keyword_only_parameter():
+    # CPython 3.11 specializes no call to a function with a keyword-only
+    # parameter, and check_access runs on every load and store, so `probe`
+    # stays positional-or-keyword. Callers still pass it by keyword.
+    assert check_access.__code__.co_kwonlyargcount == 0
+
+
 # -- int permission masks ------------------------------------------------------------
 
 def test_perm_and_int_masks_build_equal_capabilities():

@@ -176,6 +176,46 @@ def test_stub_refuses_a_device_register_name_elsewhere_or_repeated():
         assert err.value.code is ErrCode.BAD_ARGUMENT and name in err.value.detail
 
 
+def test_stub_refuses_a_repeated_entry_name():
+    # Two entries named R1, built directly since `parse` refuses the text:
+    # the slice table's `index_map()` would keep only the second.
+    m, kern = rig()
+    shipped = kern.bar_manifest
+    twice = replace(shipped, entries=(SliceEntry("R1", 0x1000, 4, PermClass.RW),
+                                      SliceEntry("R1", 0x1010, 4, PermClass.RO),
+                                      *shipped.entries))
+    assert kernelmod.device_truth_violations(twice) == ["duplicate register name 'R1'"]
+    with pytest.raises(ApiError) as err:
+        new_kernel(twice)
+    assert err.value.code is ErrCode.BAD_ARGUMENT
+    assert err.value.detail == "duplicate register name 'R1'"
+
+
+def test_admission_is_remembered_per_manifest_value():
+    # A refused value is refused on every bring-up, and the shipped value
+    # admitted before and after it, whatever the memo holds.
+    shipped = default_manifests()
+    leaky = replace(shipped, entries=tuple(
+        replace(e, perm=PermClass.RW) if e.name == "TDBAL" else e for e in shipped.entries))
+    new_kernel(shipped)
+    for _ in range(2):
+        with pytest.raises(ApiError) as err:
+            new_kernel(leaky)
+        assert err.value.code is ErrCode.BAD_ARGUMENT and "TDBAL" in err.value.detail
+    new_kernel(shipped)
+    # Each call gets its own list: a caller's edit reaches no later call.
+    got = kernelmod.device_truth_violations(leaky)
+    expected = list(got)
+    got.clear()
+    assert kernelmod.device_truth_violations(leaky) == expected
+    # A manifest whose entries are a list cannot be hashed; it is checked in
+    # full and gets its tuple twin's verdict.
+    for m in (shipped, leaky):
+        listed = replace(m, entries=list(m.entries))
+        assert (kernelmod.device_truth_violations(listed)
+                == kernelmod.device_truth_violations(m))
+
+
 def test_stub_refuses_a_bar_manifest_for_another_device():
     # The manifest's `device` line is the one input that names the device.
     m, kern = rig()

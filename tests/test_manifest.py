@@ -152,6 +152,27 @@ def test_expand_is_deterministic():
     assert expand(parse(text)) == expand(parse(text))
 
 
+def test_validate_refuses_a_repeated_name_as_parse_does():
+    text = "device x\nbar 0x1000\nreg R1 0x0 4 RW\nreg R1 0x10 4 RO\n"
+    with pytest.raises(ManifestError, match="duplicate register name 'R1'"):
+        parse(text)
+    twice = Manifest("x", 0x1000, (SliceEntry("R1", 0x0, 4, PermClass.RW),
+                                   SliceEntry("R1", 0x10, 4, PermClass.RO)))
+    assert validate(twice) == ["duplicate register name 'R1'"]
+
+
+def test_parse_of_equal_text_is_the_identical_manifest():
+    # Built afresh, so the two texts are equal but not the same object.
+    text = "".join(["device x\n", "bar 0x1000\n", "reg A 0x0 4 RW\n"])
+    assert parse(text) is parse(text[:-1] + "\n")
+
+
+def test_bad_text_raises_on_every_parse():
+    for _ in range(2):
+        with pytest.raises(ManifestError, match="missing bar directive"):
+            parse("device x\n")
+
+
 # -- parse against a reference ---------------------------------------------------
 # The parser as it was before its permission lookup became a table and its
 # repeat/stride split became `str.partition`: one `PermClass(...)` call per
