@@ -35,7 +35,7 @@ for r in expand(manifest):
     print(f"  {r.name:<8} offset {r.offset:#06x} size {r.size:<3} {r.perm.value}")
 
 # Carve it. The table is what a driver process would receive; the root
-# comes back only in sealed form, usable for unmap and nothing else.
+# comes back only as a sealed aperture root, which grants nothing.
 table = slice_standalone(manifest)
 print("\nslice table:")
 for name, cap in table:

@@ -52,8 +52,8 @@ forged = Capability(base=0x40, length=16, cursor=0x40, perms=Perm.READ,
                     tag=False, otype=slicer.INTERFACE_OTYPE)
 attempt("map_mmio(forged bits)", lambda: m.kernel.map_mmio(forged))
 
-print("\nattack 5: replay the sealed unmap root as an attach token")
-attempt("map_mmio(sealed slicer root)",
+print("\nattack 5: replay the sealed aperture root as an attach token")
+attempt("map_mmio(sealed aperture root)",
         lambda: m.kernel.map_mmio(m.table.sealed_root))
 
 print("\nattack 6: hand the privileged ioctl a capability outside the DMA buffers")

@@ -22,7 +22,7 @@ from .capability import (
 from .kernel import ApiError, ErrCode, Kernel
 from .manifest import Manifest, ManifestError, SliceEntry, expand, parse, validate
 from .physmem import AccessCostTable, PhysSpace, RootAuthority
-from .slicer import SliceTable, audit_reachability, unmap
+from .slicer import SliceTable, audit_reachability
 from .driver import Driver
 from .nic import FrameLink, NicModel
 from .netstack import UdpEndpoint, decode_udp, echo_reply, encode_udp
@@ -59,7 +59,6 @@ __all__ = [
     "parse",
     "restrict_perms",
     "seal",
-    "unmap",
     "unseal",
     "validate",
     "with_cursor",

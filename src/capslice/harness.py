@@ -416,14 +416,6 @@ def format_slice_line(name: str, cap: Capability) -> str:
     return f"{name}: {cap.cursor:#x}, len={cap.length}, {_perm_words(cap)}"
 
 
-# What the documented four-register example must carve, bases aside.
-EXAMPLE_SLICE_GOLDEN = [
-    "CTRL: len=4, Read+Write",
-    "STATUS: len=4, Read Only",
-    "TDT: len=4, Read+Write",
-]
-
-
 def manifest_reach_oracle(m: Manifest, length: Optional[int] = None) -> bytearray:
     """Per-byte permission map recomputed straight from manifest expansion;
     the independent check against audit_reachability."""
@@ -482,14 +474,6 @@ def run_isolation_suite(bar_manifest: Optional[Manifest] = None) -> IsolationRep
     def record(name: str, passed: bool, detail: str) -> None:
         scenarios.append(Scenario(name, passed, detail))
 
-    # (a) The documented example manifest carves exactly the advertised
-    # slices (lengths and permissions; bases are mapping-dependent).
-    example = data_manifest("e1000e-example.manifest")
-    table = slice_standalone(example)
-    got = [f"{n}: len={c.length}, {_perm_words(c)}" for n, c in table]
-    record("example-slice-carving", got == EXAMPLE_SLICE_GOLDEN,
-           f"{got}" if got != EXAMPLE_SLICE_GOLDEN else "3 slices, IMS withheld")
-
     # Full machine for the attack scenarios.
     link = FrameLink()
     m = build_machine("sut", MODE_BYPASS, SUT_ENDPOINT, link=link, bar_manifest=bar_manifest)
@@ -515,8 +499,6 @@ def run_isolation_suite(bar_manifest: Optional[Manifest] = None) -> IsolationRep
         except CapFault as fault:
             record("readonly-status", fault.kind is FaultKind.PERMISSION_DENIED,
                    fault.kind.name)
-
-    record("ims-not-sliced", "IMS" not in m.table.names(), "kernel-only register withheld")
 
     # (c) No driver-held capability reaches a descriptor address field.
     dma_base = m.kernel.dma_root.base

@@ -291,12 +291,9 @@ class PhysSpace:
             self._refuse(addr, GRANULE, "capability loads are RAM-only")
         self.clock += self.costs.ram_access_ns
         g = addr // GRANULE
-        shadow = self._cap_shadow.get(g)
-        if shadow is None:
-            return null_capability(int.from_bytes(self.data[addr:addr + 8], "little"))
-        tag = bool(self.tags[g]) and shadow.tag
-        return Capability(shadow.base, shadow.length, shadow.cursor, shadow.perms, tag,
-                          shadow.otype)
+        if self.tags[g]:
+            return self._cap_shadow[g]
+        return null_capability(int.from_bytes(self.data[addr:addr + 8], "little"))
 
     # -- device-side DMA (no capability in the loop; the device is hardware) --
 

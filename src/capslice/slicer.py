@@ -2,8 +2,8 @@
 
 Slicing derives one bounds-narrowed, permission-restricted capability per
 expanded manifest range and hands the set to userspace. The unsealed root
-never leaves this module: the caller gets back a *sealed* root usable only
-for a later unmap, so teardown stays possible without breaking the model.
+never leaves this module: the caller gets back a *sealed* root, an opaque
+aperture token whose base the reachability audit reads; nothing unseals it.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ from .capability import (
     make_otype_authority,
     restrict_perms,
     seal,
-    unseal,
     with_cursor,
 )
 from .manifest import Manifest, PermClass, expand
 
-# Reserved otypes. Mapping tokens (sealed roots) and attach tokens must
+# Reserved otypes. Aperture tokens (sealed roots) and attach tokens must
 # never be confusable, so the slicer and the kernel interface seal under
 # different types.
 SLICER_OTYPE = 1
@@ -49,9 +48,9 @@ _AUDIT_RUNS = tuple((need, bytes(b | bit for b in range(256))) for need, bit in 
 class SliceTable:
     """Ordered (name, capability) pairs in manifest-expansion order.
 
-    `sealed_root` is the opaque unmap token for the sliced aperture. When
-    the kernel merges the register table with the DMA-region table, the
-    second aperture's token rides along in `sealed_dma_root`.
+    `sealed_root` is the sliced aperture's opaque token: it grants nothing,
+    and the audit reads its base. A table the kernel merges from the BAR and
+    the DMA region carries the DMA aperture's token in `sealed_dma_root`.
     """
 
     slices: tuple[tuple[str, Capability], ...]
@@ -103,15 +102,6 @@ def slice(root: Capability, m: Manifest) -> SliceTable:
             parent = class_roots[rw] = restrict_perms(root, perm_class.to_perms())
         slices.append((name, derive_bounds(parent, root.base + offset, size)))
     return SliceTable(slices=tuple(slices), sealed_root=seal(root, _AUTHORITY))
-
-
-def unmap(table_root: Capability) -> Capability:
-    """Give the root back to the kernel for teardown.
-
-    Only tokens sealed by this module unseal here; attach tokens and
-    forged patterns fault.
-    """
-    return unseal(table_root, _AUTHORITY)
 
 
 def audit_reachability(table: SliceTable, bar_length: int,

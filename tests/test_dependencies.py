@@ -4,9 +4,11 @@ under `python -O`.
 `capslice` may import only `sys.stdlib_module_names` and itself, and
 `pyproject.toml` lists no runtime dependency; test-only packages belong in
 the `test` extra. No `capslice` module holds an `assert` statement, which
-`python -O` strips: every check raises an exception of its own. The checks
-read source text, so they hold on every Python version the project
-supports, with nothing extra installed.
+`python -O` strips: every check raises an exception of its own. The one
+`unseal` call in the package is the kernel's, on attach tokens, so no path
+reopens the slicer's sealed roots. The checks read source text, so they
+hold on every Python version the project supports, with nothing extra
+installed.
 """
 
 import ast
@@ -39,6 +41,14 @@ def assert_lines(source: str) -> list[int]:
     return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
 
 
+def unseal_calls(source: str) -> list[str]:
+    """The text of each call to a function named `unseal` in `source`, at
+    any depth."""
+    calls = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
+    return [ast.unparse(call) for call in calls
+            if getattr(call.func, "id", getattr(call.func, "attr", None)) == "unseal"]
+
+
 def runtime_dependencies(pyproject: str) -> str:
     """The text inside `[project]`'s `dependencies = [...]`, or "" if absent."""
     section = re.search(r"^\[project\]\s*$(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
@@ -56,6 +66,9 @@ def test_the_checks_see_a_foreign_import_and_a_dependency():
     assert runtime_dependencies('[project]\ndependencies = []  # none\n') == ""
     assert assert_lines("x = 1  # assert x\ndef f(y):\n    if y:\n        assert y, 'y'\n"
                         "s = 'assert'\n") == [4]
+    assert unseal_calls("from .capability import unseal\nx = unseal(a, b)  # unseal(c)\n"
+                        "def f():\n    return capability.unseal(d, e)\ns = 'unseal(g)'\n"
+                        ) == ["unseal(a, b)", "capability.unseal(d, e)"]
 
 
 def test_package_imports_only_the_standard_library():
@@ -74,3 +87,10 @@ def test_package_holds_no_assert_statement():
     assert files
     offenders = {f.name: lines for f in files if (lines := assert_lines(f.read_text()))}
     assert offenders == {}
+
+
+def test_only_the_kernel_unseals_and_only_attach_tokens():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert files
+    calls = {f.name: found for f in files if (found := unseal_calls(f.read_text()))}
+    assert calls == {"kernel.py": ["unseal(token, _INTERFACE_AUTHORITY)"]}

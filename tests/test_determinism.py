@@ -80,7 +80,7 @@ def test_non_dyadic_costs_reproduce_recorded_rows():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == NON_DYADIC_SHA256
 
 
-AUDIT_TXT_SHA256 = "4d798f46dfde9bfae239a5b5d2ca7824992130d1b2c71267ae43c06dd11b6ee3"
+AUDIT_TXT_SHA256 = "df10b45d646149b2208ef00fc8486ca590a9da1aa766e2c8dd6f60f434817c46"
 
 
 def test_audit_report_matches_recorded_digest():

@@ -180,7 +180,9 @@ def test_isolation_suite_passes_on_shipped_policy():
     report = run_isolation_suite()
     details = {s.name: s for s in report.scenarios}
     assert report.passed, report.render()
-    assert len(report.scenarios) == 9
+    assert [s.name for s in report.scenarios] == [
+        "offset-attack", "readonly-status", "descriptor-addr-write-attack", "forged-token",
+        "exhaustive-audit", "device-truth-audit", "ring-carve-audit"]
     assert details["exhaustive-audit"].detail.startswith("262144 ")
     assert details["device-truth-audit"].detail == "12 kernel-only registers unreachable"
     assert "PASS" in report.render()

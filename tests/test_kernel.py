@@ -597,7 +597,7 @@ def test_a_kernel_elsewhere_in_ram_carves_its_own_dma_region():
     assert len(dma_slices) == 4 * RING_SIZE
     for cap in dma_slices + rings.tx_meta + rings.tx_bufs + rings.rx_meta + rings.rx_bufs:
         assert cap.tag and dma.base <= cap.base and cap.top <= dma.top
-    assert slicer.unmap(table.sealed_dma_root) == k.dma_root
+    assert unseal(table.sealed_dma_root, make_otype_authority(slicer.SLICER_OTYPE)) == k.dma_root
 
 
 @pytest.mark.parametrize("mode,carvings", [("bypass", 1), ("mediated", 0)])

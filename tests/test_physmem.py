@@ -456,8 +456,8 @@ def test_data_store_strips_granule_tag():
     space.cap_store(slot, value)
     assert space.cap_load(slot).tag
     space.store(with_cursor(cap, 0x1004), 4, 0x41414141)  # overwrite mid-granule
-    loaded = space.cap_load(slot)
-    assert not loaded.tag
+    # The load reads the cursor word memory now holds, not the stored cursor.
+    assert space.cap_load(slot) == null_capability(0x41414141_00002000)
 
 
 def test_untagged_store_leaves_granule_untagged():
@@ -812,11 +812,9 @@ class ReferenceSpace:
             raise ValueError("capability loads are RAM-only")
         self.advance(self.costs.ram_access_ns)
         g = cap.cursor // GRANULE
-        shadow = self.shadow.get(g)
-        if shadow is None:
-            return null_capability(int.from_bytes(self.data[cap.cursor:cap.cursor + 8], "little"))
-        return Capability(shadow.base, shadow.length, shadow.cursor, shadow.perms,
-                          bool(self.tags[g]) and shadow.tag, shadow.otype)
+        if self.tags[g]:
+            return self.shadow[g]
+        return null_capability(int.from_bytes(self.data[cap.cursor:cap.cursor + 8], "little"))
 
     def dma_read(self, addr, count):
         if count < 0:

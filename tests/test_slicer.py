@@ -128,31 +128,6 @@ def test_index_map_matches_order():
     assert table.by_name("STATUS") is table[1]
 
 
-# -- unmap ---------------------------------------------------------------------
-
-def test_unmap_roundtrip():
-    _, root = fresh_root()
-    table = slicer.slice(root, parse(EXAMPLE))
-    recovered = slicer.unmap(table.sealed_root)
-    assert recovered == root
-
-
-def test_unmap_rejects_interface_tokens():
-    _, root = fresh_root()
-    token = seal(root, make_otype_authority(slicer.INTERFACE_OTYPE))
-    with pytest.raises(CapFault) as err:
-        slicer.unmap(token)
-    assert err.value.kind is FaultKind.WRONG_OTYPE
-
-
-def test_unmap_rejects_forged_patterns():
-    forged = Capability(base=0, length=0x20000, cursor=0, perms=PERM_RW,
-                        tag=False, otype=slicer.SLICER_OTYPE)
-    with pytest.raises(CapFault) as err:
-        slicer.unmap(forged)
-    assert err.value.kind is FaultKind.TAG_INVALID
-
-
 # -- audit ----------------------------------------------------------------------
 
 def test_audit_example_manifest_exact_sets():
