@@ -185,8 +185,10 @@ def _sweep_usage_error(cfg: harness.SweepConfig) -> str | None:
         return f"--trials must be in 1..{harness.LoadGenerator.MAX_TRIALS}"
     if not cfg.packet_sizes or any(not 0 <= s <= MAX_PAYLOAD for s in cfg.packet_sizes):
         return f"--sizes must be payload sizes in 0..{MAX_PAYLOAD}"
-    if not cfg.delays_us or any(d < 0 for d in cfg.delays_us):
-        return "--delays must be non-negative"
+    # run_cell's delay_us * 1000.0 must be finite; min() keeps a huge int from raising.
+    if not cfg.delays_us or any(d < 0 or not math.isfinite(min(d, sys.float_info.max) * 1000.0)
+                                for d in cfg.delays_us):
+        return "--delays must be non-negative, and finite in nanoseconds"
     for flag, values in (("--modes", cfg.modes), ("--sizes", cfg.packet_sizes),
                          ("--delays", cfg.delays_us)):
         if len(set(values)) != len(values):

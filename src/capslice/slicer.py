@@ -122,7 +122,9 @@ def audit_reachability(table: SliceTable, bar_length: int,
     test accepts exactly the accesses inside [base, top). The work is
     O(slices) checks, and the bits are ORed into the result in C.
     exhaustive=True attempts every slice at every byte regardless, for
-    cross-validating the fast path. It probes by immediate offset from each
+    cross-validating the fast path: per need, slice by slice, one width-1
+    probe per byte, so exactly 2 x bar_length x len(table) probes, with no
+    early exit at a granting slice. It probes by immediate offset from each
     slice's cursor, as a CHERI capability-relative load does, so no probe
     builds a capability. That form faults exactly where the `with_cursor`
     form does, except that a tagged sealed slice faults SEAL_VIOLATION
@@ -132,24 +134,20 @@ def audit_reachability(table: SliceTable, bar_length: int,
     and catches nothing and builds no CapFault.
     """
     base = table.sealed_root.base
-    caps = [cap for _, cap in table.slices]
     result = bytearray(bar_length)
 
     if exhaustive:
-        # Each (need, bit) stops at the first slice that grants it.
-        for b in range(bar_length):
-            addr = base + b
-            bits = 0
-            for need, bit in _AUDIT_NEEDS:
-                for cap in caps:
-                    if check_access(cap, 1, need, addr - cap.cursor, probe=True) is None:
-                        bits |= bit
-                        break
-            result[b] = bits
+        # The run of immediate offsets from the cursor that spans the aperture.
+        for need, bit in _AUDIT_NEEDS:
+            for _, cap in table.slices:
+                first = base - cap.cursor
+                for offset in range(first, first + bar_length):
+                    if check_access(cap, 1, need, offset, True) is None:
+                        result[offset - first] |= bit
         return result
 
     top = base + bar_length
-    for cap in caps:
+    for _, cap in table.slices:
         lo = cap.base
         hi = lo + cap.length
         if hi <= base or lo >= top:  # most slices lie outside the aperture

@@ -113,6 +113,9 @@ def test_sweep_rejects_bad_grid_before_any_cell_runs(tmp_path, capsys, monkeypat
         ["--sizes", "-1"],
         ["--sizes", ","],
         ["--delays", "-5"],
+        # Too large for a float at all, and finite but infinite in nanoseconds.
+        ["--delays", str(10 ** 400)],
+        ["--delays", f"0,{10 ** 306}"],
         ["--sizes", "64,64"],
         ["--delays", "0,0"],
         ["--modes", "bypass,bypass"],
@@ -122,7 +125,7 @@ def test_sweep_rejects_bad_grid_before_any_cell_runs(tmp_path, capsys, monkeypat
         ["--link-ns", "inf"],
     ]
     for flags in bad:
-        out = tmp_path / "_".join(flags).replace(",", "c")
+        out = tmp_path / "_".join(flags).replace(",", "c")[:64]
         assert main(["sweep", *flags, "--out", str(out)]) == 2, flags
         err = capsys.readouterr().err
         assert "error:" in err and flags[0] in err and "Traceback" not in err, flags

@@ -317,7 +317,7 @@ def test_hostile_policy_is_refused_or_reaches_no_privileged_byte(m):
     assert reach == manifest_reach_oracle(m, AUDITED)
 
 
-@settings(deadline=None, max_examples=7)
+@settings(deadline=None, max_examples=8)
 @given(m=bar_manifests(max_entries=3))
 def test_hostile_policy_exhaustive_audit(m):
     table = _attach_and_map(m)

@@ -255,6 +255,25 @@ def test_exhaustive_audit_builds_no_fault(monkeypatch):
     assert audit_reachability(table, m.bar_length, exhaustive=True) == manifest_reach_oracle(m)
 
 
+def test_exhaustive_audit_probes_every_slice_at_every_byte(monkeypatch):
+    # A and B overlap at 0x8..0xB, so both grant READ there: an audit that
+    # stopped at the first granting slice would skip B's probes of it.
+    m = parse("device x\nbar 0x40\nreg A 0x4 8 RW\nreg B 0x8 8 RO\nreg C 0x20 4 RW\n")
+    assert validate(m) == ["A and B overlap at 0x8"]
+    table = slice_standalone(m)
+    calls = []
+    real = slicer.check_access
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(slicer, "check_access", counted)
+    bits = audit_reachability(table, m.bar_length, exhaustive=True)
+    assert bits == manifest_reach_oracle(m)
+    assert len(calls) == 2 * m.bar_length * len(table)
+
+
 # A 0x400-byte window at each register group of the shipped manifest, and
 # the whole BAR.
 @pytest.mark.parametrize("lo,length", [(0x0, 0x400), (0x2800, 0x400), (0x3800, 0x400),
